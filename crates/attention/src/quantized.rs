@@ -148,10 +148,10 @@ fn quantize_lattice(src: &[f32], absmax: f32, lattice: &mut [f32]) -> f32 {
 /// only inside [`Int8LowRank::accumulate`]. The query is quantized to its f32 lattice
 /// view only: its sole consumer is the f32 output sweep, so an int8 query store would
 /// be write-only work. The `(G, k̂_sum, v_sum)` aggregates are accumulated **exactly**
-/// in integer arithmetic: `G` through [`MatmulBackend::gemm_i8_native_into`]'s
-/// `maddubs` microkernel when the resolved backend supports it, otherwise through the
-/// bit-identical widen-to-f32 chunked-exact kernel
-/// ([`MatmulBackend::gemm_i8_exact_into`]); the sums in `i32` over the int8 operands.
+/// in integer arithmetic: `G` through
+/// [`MatmulBackend::gemm_i8_native_clamped_into`]'s `maddubs` microkernel when the
+/// resolved backend supports it, otherwise through the bit-identical scalar reference
+/// ([`MatmulBackend::gemm_i8_into`]); the sums in `i32` over the int8 operands.
 /// The aggregates are then dequantized once per head with the query scale folded in —
 /// `g = s_q s_k s_v · G`, `k_sum = s_q s_k · k̂_sum`, `v_sum = s_v · v_sum` — so the
 /// per-query output sweep is *identical* to the f32 Taylor kernel's fused Steps-4–6
@@ -167,8 +167,8 @@ struct Int8LowRank {
 
 impl Int8LowRank {
     /// Quantizes `(Q, K̂, V)` per head and runs the fused Algorithm-1 accumulation on
-    /// exact integer arithmetic: `G = K̂_q ᵀ V_q` through the chunked-exact integer
-    /// GEMM, `k̂_sum` and `v_sum` as `i32` column sums of the int8 operands.
+    /// exact integer arithmetic: `G = K̂_q ᵀ V_q` through the backend's integer GEMM,
+    /// `k̂_sum` and `v_sum` as `i32` column sums of the int8 operands.
     ///
     /// `k_hat` is the **already mean-centred** key buffer (`n × d_k` row-major) —
     /// centring happens before quantization to keep the logits small (the point of
@@ -200,26 +200,16 @@ impl Int8LowRank {
         let s_v = quantize_slice(v.as_slice(), v_max, &mut v_q);
 
         // G = K̂_qᵀ V_q: exact integer accumulation straight off the canonical int8
-        // operands. The native `maddubs` microkernel consumes them directly through
-        // the *clamped* entry — the quantizer's ±127 saturation guarantees the
-        // operands sit inside its domain, so the `-128` scans the general entry runs
-        // would be two redundant full-buffer sweeps here. When the resolved backend
-        // or host lacks the kernel, the widen-to-f32 chunked-exact kernel computes
-        // the bit-identical product from workspace scratch.
+        // operands. The native `maddubs` microkernel consumes them directly — the
+        // quantizer's ±127 saturation keeps `-128`, the one value outside its domain,
+        // out of both operands. When the resolved backend or host lacks the kernel,
+        // the scalar reference computes the bit-identical product.
         let backend = matmul_backend();
         let mut g_i = ws.take_i32_vec(d_k * d_v);
         let k_op = IntOperand::transposed(&k_q, d_k);
         let v_op = IntOperand::row_major(&v_q, d_v);
         if !backend.gemm_i8_native_clamped_into(&mut g_i, d_k, n, d_v, k_op, v_op) {
-            let mut a_f = ws.take_vec(n * d_k);
-            let mut b_f = ws.take_vec(n * d_v);
-            let mut c_f = ws.take_vec(d_k * d_v);
-            backend.gemm_i8_exact_into(
-                &mut g_i, d_k, n, d_v, k_op, v_op, &mut a_f, &mut b_f, &mut c_f,
-            );
-            ws.recycle_vec(a_f);
-            ws.recycle_vec(b_f);
-            ws.recycle_vec(c_f);
+            backend.gemm_i8_into(&mut g_i, d_k, n, d_v, k_op, v_op);
         }
         // Exact integer column sums in i32 over the canonical int8 operands, via the
         // widen-and-add SIMD sweep when the host supports it.

@@ -21,24 +21,20 @@
 //! are unanswered, so a fast pipeliner is backpressured through the kernel
 //! socket buffer instead of growing the parse buffer without bound.
 //!
-//! On platforms without epoll (or with `VITALITY_FORCE_THREADED_FRONT=1`), the
-//! front transparently falls back to the classic thread-per-connection model
-//! over the same dispatcher, so the server logic above it is identical.
+//! The front needs epoll: on other platforms [`EventFront::start`] returns
+//! [`io::ErrorKind::Unsupported`].
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::{mpsc, Arc, Mutex, PoisonError};
+use std::net::{TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use mio::{Events, Interest, Poll, Token, Waker};
 
-use crate::http::{
-    serve_connection, EncodedResponse, HttpMessage, HttpParser, ParseStatus, RouteResponse,
-    WriteReport,
-};
+use crate::http::{EncodedResponse, HttpParser, ParseStatus, RouteResponse, WriteReport};
 use crate::protocol;
 
 /// Tunables of the connection front.
@@ -53,8 +49,7 @@ pub struct FrontConfig {
     /// responses drain.
     pub max_pipeline: usize,
     /// Name of the event-loop thread (e.g. `serve-conn-8080`). Failpoint
-    /// thread-prefix scoping keys off this, exactly as it keyed off the
-    /// per-connection thread names of the blocking front.
+    /// thread-prefix scoping keys off this.
     pub thread_name: String,
 }
 
@@ -104,16 +99,11 @@ impl FrontRequest<'_> {
     }
 }
 
-const LOOP_MODE_UNSTARTED: u8 = 0;
-const LOOP_MODE_EVENT: u8 = 1;
-const LOOP_MODE_THREADED: u8 = 2;
-
 /// Loop-health counters answering "is the single loop thread the next wall":
 /// epoll wakeups, ready events per wake, the completion-queue depth, and
 /// saturation — the fraction of loop wall-clock spent *outside* `epoll_wait`
 /// (parsing, dispatching, writing). All lock-free; sampled by `/metrics` and
-/// `/healthz`. The threaded fallback reports its mode and leaves the loop
-/// counters at zero (saturation reads as absent).
+/// `/healthz`.
 #[derive(Debug, Default)]
 pub struct LoopStats {
     /// `epoll_wait` returns (including timeouts and waker wakeups).
@@ -130,18 +120,16 @@ pub struct LoopStats {
     pub busy_ns: AtomicU64,
     /// Nanoseconds the loop spent parked inside the poll call.
     pub idle_ns: AtomicU64,
-    mode: AtomicU8,
+    started: AtomicBool,
 }
 
 impl LoopStats {
-    /// Which front implementation is reporting: `"event"`, `"threaded"`, or
-    /// `"unstarted"`.
+    /// `"event"` once a front runs the loop, `"unstarted"` before.
     pub fn mode(&self) -> &'static str {
-        match self.mode.load(Ordering::Relaxed) {
-            LOOP_MODE_EVENT => "event",
-            LOOP_MODE_THREADED => "threaded",
-            LOOP_MODE_UNSTARTED => "unstarted",
-            _ => "unstarted",
+        if self.started.load(Ordering::Relaxed) {
+            "event"
+        } else {
+            "unstarted"
         }
     }
 
@@ -155,7 +143,7 @@ impl LoopStats {
     }
 
     /// Fraction of loop time spent outside `epoll_wait` (`None` until the loop
-    /// has run, and always `None` on the threaded fallback).
+    /// has run).
     pub fn saturation(&self) -> Option<f64> {
         let busy = self.busy_ns.load(Ordering::Relaxed);
         let idle = self.idle_ns.load(Ordering::Relaxed);
@@ -238,7 +226,7 @@ impl LoopStats {
 /// The completion queue and stop flag shared between the loop thread and
 /// completions fired from worker threads.
 struct FrontShared {
-    waker: Option<Waker>,
+    waker: Waker,
     completions: Mutex<Vec<(u64, u64, RouteResponse)>>,
     stop: AtomicBool,
     stats: Arc<LoopStats>,
@@ -260,21 +248,16 @@ impl FrontShared {
         self.stats
             .max_queue_depth
             .fetch_max(depth, Ordering::Relaxed);
-        if let Some(waker) = &self.waker {
-            let _ = waker.wake();
-        }
+        let _ = self.waker.wake();
     }
 }
 
-enum CompletionSink {
-    /// Event-loop mode: enqueue for the loop and wake it.
-    Event {
-        shared: Arc<FrontShared>,
-        conn: u64,
-        seq: u64,
-    },
-    /// Threaded-fallback mode: rendezvous with the blocked connection thread.
-    Sync(mpsc::Sender<RouteResponse>),
+/// Where a completion goes: the loop's queue, tagged with its connection and
+/// request sequence number.
+struct CompletionSink {
+    shared: Arc<FrontShared>,
+    conn: u64,
+    seq: u64,
 }
 
 /// The one-shot reply handle for a dispatched request.
@@ -295,13 +278,8 @@ impl Completion {
     }
 
     fn deliver(&mut self, response: RouteResponse) {
-        match self.sink.take() {
-            Some(CompletionSink::Event { shared, conn, seq }) => {
-                shared.push(conn, seq, response);
-            }
-            // The connection thread may have given up (shutdown); fine.
-            Some(CompletionSink::Sync(tx)) => drop(tx.send(response)),
-            None => {}
+        if let Some(CompletionSink { shared, conn, seq }) = self.sink.take() {
+            shared.push(conn, seq, response);
         }
     }
 }
@@ -320,8 +298,7 @@ impl Drop for Completion {
 impl std::fmt::Debug for Completion {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let kind = match &self.sink {
-            Some(CompletionSink::Event { conn, seq, .. }) => format!("event({conn}#{seq})"),
-            Some(CompletionSink::Sync(_)) => "sync".to_string(),
+            Some(CompletionSink { conn, seq, .. }) => format!("event({conn}#{seq})"),
             None => "completed".to_string(),
         };
         f.debug_tuple("Completion").field(&kind).finish()
@@ -334,32 +311,18 @@ impl std::fmt::Debug for Completion {
 pub trait Dispatch: FnMut(&FrontRequest<'_>, Completion) + Send + 'static {}
 impl<F: FnMut(&FrontRequest<'_>, Completion) + Send + 'static> Dispatch for F {}
 
-/// A running connection front: the epoll event loop, or its threaded fallback.
+/// A running connection front: the epoll event loop.
 ///
 /// Stop in two phases: [`stop`](Self::stop) (signal; existing responses still
 /// drain, new requests are no longer parsed) then [`join`](Self::join).
 pub struct EventFront {
-    inner: FrontInner,
-}
-
-enum FrontInner {
-    Event {
-        shared: Arc<FrontShared>,
-        handle: Option<JoinHandle<()>>,
-    },
-    Threaded {
-        stop: Arc<AtomicBool>,
-        local_addr: SocketAddr,
-        accept: Option<JoinHandle<()>>,
-        connections: Arc<Mutex<Vec<JoinHandle<()>>>>,
-        stats: Arc<LoopStats>,
-    },
+    shared: Arc<FrontShared>,
+    handle: Option<JoinHandle<()>>,
 }
 
 impl EventFront {
-    /// Starts the front over an already-bound listener. Uses the epoll event
-    /// loop where available; falls back to thread-per-connection otherwise
-    /// (or when `VITALITY_FORCE_THREADED_FRONT=1`, the fallback's test hook).
+    /// Starts the event loop over an already-bound listener. Fails with
+    /// [`io::ErrorKind::Unsupported`] where epoll is unavailable.
     pub fn start(
         listener: TcpListener,
         config: FrontConfig,
@@ -372,95 +335,14 @@ impl EventFront {
         if let Err(err) = mio::set_backlog(&listener, 4096) {
             trace::debug!("keeping the default accept backlog: {err}");
         }
-        let forced_fallback =
-            std::env::var_os("VITALITY_FORCE_THREADED_FRONT").is_some_and(|v| v == "1");
-        if !forced_fallback {
-            match Poll::new() {
-                Ok(poll) => return Self::start_event(listener, config, dispatch, poll),
-                // No epoll on this platform: fall through to the threaded front.
-                Err(err) if err.kind() == io::ErrorKind::Unsupported => {}
-                Err(err) => return Err(err),
-            }
-        }
-        Self::start_threaded(listener, config, dispatch)
-    }
-
-    /// Whether this front runs the epoll event loop (`false`: threaded fallback).
-    pub fn is_event_loop(&self) -> bool {
-        matches!(self.inner, FrontInner::Event { .. })
-    }
-
-    /// The loop-health counters of this front (all zero on the threaded
-    /// fallback, which has no loop thread — `mode` still reports which
-    /// implementation answered).
-    pub fn stats(&self) -> Arc<LoopStats> {
-        match &self.inner {
-            FrontInner::Event { shared, .. } => Arc::clone(&shared.stats),
-            FrontInner::Threaded { stats, .. } => Arc::clone(stats),
-        }
-    }
-
-    /// Signals the front to stop: no new connections or requests; responses
-    /// already completed (or still in flight toward a completion) drain first.
-    /// Idempotent, callable from any thread.
-    pub fn stop(&self) {
-        match &self.inner {
-            FrontInner::Event { shared, .. } => {
-                shared.stop.store(true, Ordering::SeqCst);
-                if let Some(waker) = &shared.waker {
-                    let _ = waker.wake();
-                }
-            }
-            FrontInner::Threaded {
-                stop, local_addr, ..
-            } => {
-                stop.store(true, Ordering::SeqCst);
-                // Unblock the accept loop with a throwaway connection.
-                let _ = TcpStream::connect(*local_addr);
-            }
-        }
-    }
-
-    /// Waits for the front to wind down (call after [`stop`](Self::stop); the
-    /// loop exits only once every pending response has drained).
-    pub fn join(&mut self) {
-        match &mut self.inner {
-            FrontInner::Event { handle, .. } => {
-                if let Some(handle) = handle.take() {
-                    let _ = handle.join();
-                }
-            }
-            FrontInner::Threaded {
-                accept,
-                connections,
-                ..
-            } => {
-                if let Some(handle) = accept.take() {
-                    let _ = handle.join();
-                }
-                let handles = std::mem::take(
-                    &mut *connections.lock().unwrap_or_else(PoisonError::into_inner),
-                );
-                for handle in handles {
-                    let _ = handle.join();
-                }
-            }
-        }
-    }
-
-    fn start_event(
-        listener: TcpListener,
-        config: FrontConfig,
-        dispatch: impl Dispatch,
-        poll: Poll,
-    ) -> io::Result<EventFront> {
+        let poll = Poll::new()?;
         listener.set_nonblocking(true)?;
         poll.register(&listener, LISTENER, Interest::READABLE)?;
         let waker = Waker::new(&poll, WAKER)?;
         let stats = Arc::new(LoopStats::default());
-        stats.mode.store(LOOP_MODE_EVENT, Ordering::Relaxed);
+        stats.started.store(true, Ordering::Relaxed);
         let shared = Arc::new(FrontShared {
-            waker: Some(waker),
+            waker,
             completions: Mutex::new(Vec::new()),
             stop: AtomicBool::new(false),
             stats,
@@ -483,107 +365,37 @@ impl EventFront {
             })
             .expect("spawn event-loop thread");
         Ok(EventFront {
-            inner: FrontInner::Event {
-                shared,
-                handle: Some(handle),
-            },
+            shared,
+            handle: Some(handle),
         })
     }
 
-    fn start_threaded(
-        listener: TcpListener,
-        config: FrontConfig,
-        dispatch: impl Dispatch,
-    ) -> io::Result<EventFront> {
-        let local_addr = listener.local_addr()?;
-        let stats = Arc::new(LoopStats::default());
-        stats.mode.store(LOOP_MODE_THREADED, Ordering::Relaxed);
-        let stop = Arc::new(AtomicBool::new(false));
-        let connections: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-        // One dispatcher shared by every connection thread. Dispatch calls are
-        // brief (parse + hand off), so the lock is not a throughput concern on
-        // the fallback path.
-        let dispatch = Arc::new(Mutex::new(dispatch));
-        let accept_stop = Arc::clone(&stop);
-        let accept_connections = Arc::clone(&connections);
-        let conn_name = config.thread_name.clone();
-        let accept = std::thread::Builder::new()
-            .name(format!("{}-accept", config.thread_name))
-            .spawn(move || {
-                for stream in listener.incoming() {
-                    if accept_stop.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let Ok(stream) = stream else { continue };
-                    let stop = Arc::clone(&accept_stop);
-                    let dispatch = Arc::clone(&dispatch);
-                    let config = config.clone();
-                    let handle = std::thread::Builder::new()
-                        .name(conn_name.clone())
-                        .spawn(move || {
-                            let stop_fn = || stop.load(Ordering::SeqCst);
-                            serve_connection(
-                                stream,
-                                config.poll_interval,
-                                config.max_body_bytes,
-                                &stop_fn,
-                                |message: &HttpMessage| {
-                                    let (tx, rx) = mpsc::channel();
-                                    {
-                                        let mut dispatch =
-                                            dispatch.lock().unwrap_or_else(PoisonError::into_inner);
-                                        let request = FrontRequest {
-                                            start_line: &message.start_line,
-                                            headers: &message.headers,
-                                            body: &message.body,
-                                        };
-                                        dispatch(
-                                            &request,
-                                            Completion {
-                                                sink: Some(CompletionSink::Sync(tx)),
-                                            },
-                                        );
-                                    }
-                                    // The completion's drop guard guarantees a
-                                    // send, so recv can only fail if the guard
-                                    // itself was leaked; answer 500 then.
-                                    rx.recv().unwrap_or_else(|_| {
-                                        RouteResponse::new(
-                                            500,
-                                            protocol::error_body(
-                                                "internal",
-                                                "request dropped without a response",
-                                            ),
-                                        )
-                                    })
-                                },
-                            );
-                        })
-                        .expect("spawn connection handler");
-                    let mut handles = accept_connections
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner);
-                    handles.retain(|h: &JoinHandle<()>| !h.is_finished());
-                    handles.push(handle);
-                }
-            })
-            .expect("spawn accept loop");
-        Ok(EventFront {
-            inner: FrontInner::Threaded {
-                stop,
-                local_addr,
-                accept: Some(accept),
-                connections,
-                stats,
-            },
-        })
+    /// The loop-health counters of this front.
+    pub fn stats(&self) -> Arc<LoopStats> {
+        Arc::clone(&self.shared.stats)
+    }
+
+    /// Signals the front to stop: no new connections or requests; responses
+    /// already completed (or still in flight toward a completion) drain first.
+    /// Idempotent, callable from any thread.
+    pub fn stop(&self) {
+        self.shared.stop.store(true, Ordering::SeqCst);
+        let _ = self.shared.waker.wake();
+    }
+
+    /// Waits for the front to wind down (call after [`stop`](Self::stop); the
+    /// loop exits only once every pending response has drained).
+    pub fn join(&mut self) {
+        if let Some(handle) = self.handle.take() {
+            let _ = handle.join();
+        }
     }
 }
 
 impl std::fmt::Debug for EventFront {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EventFront")
-            .field("event_loop", &self.is_event_loop())
+            .field("running", &self.handle.is_some())
             .finish()
     }
 }
@@ -636,7 +448,7 @@ struct Conn {
     /// Peer sent EOF (possibly half-close: it may still await responses).
     peer_eof: bool,
     /// A framing violation poisoned the byte stream: stop parsing, flush what
-    /// is owed, close. (Old blocking front: close silently.)
+    /// is owed, close silently.
     broken: bool,
     /// What the connection is currently registered for with the poller.
     registered: Option<(bool, bool)>,
@@ -737,11 +549,7 @@ impl<F: Dispatch> EventLoop<F> {
             for event in ready {
                 match event.token() {
                     LISTENER => self.accept_ready(stopping),
-                    WAKER => {
-                        if let Some(waker) = &self.shared.waker {
-                            waker.drain();
-                        }
-                    }
+                    WAKER => self.shared.waker.drain(),
                     Token(id) => {
                         let id = id as u64;
                         if event.is_readable() {
@@ -846,8 +654,8 @@ impl<F: Dispatch> EventLoop<F> {
 
     fn close_conn(&mut self, id: u64) {
         if let Some(mut conn) = self.conns.remove(&id) {
-            // Unfired hooks still observe their write outcome (parity with the
-            // blocking front, which fired hooks even on failed writes).
+            // Unfired hooks still observe their write outcome, even a failed
+            // write.
             for segment in &mut conn.out {
                 segment.fire_hook();
             }
@@ -1012,7 +820,7 @@ impl<F: Dispatch> EventLoop<F> {
                     conn.wants_close
                         .push_back((seq, conn.parser.head().wants_close()));
                     let completion = Completion {
-                        sink: Some(CompletionSink::Event {
+                        sink: Some(CompletionSink {
                             shared: Arc::clone(&self.shared),
                             conn: id,
                             seq,
@@ -1038,7 +846,7 @@ impl<F: Dispatch> EventLoop<F> {
                 Err(_) => {
                     // Framing violation: the byte stream is unrecoverable.
                     // Stop reading; flush whatever is owed, then close
-                    // (the blocking front closed silently too).
+                    // silently.
                     conn.broken = true;
                     if conn.drained() {
                         self.close_conn(id);
@@ -1115,6 +923,7 @@ mod tests {
     use super::*;
     use serde::json::JsonValue;
     use std::io::{BufRead, BufReader};
+    use std::net::SocketAddr;
 
     fn front(dispatch: impl Dispatch) -> (EventFront, SocketAddr) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -1167,7 +976,9 @@ mod tests {
 
     #[test]
     fn serves_pipelined_requests_in_order() {
+        assert_eq!(LoopStats::default().mode(), "unstarted");
         let (mut front, addr) = front(echo_dispatch());
+        assert_eq!(front.stats().mode(), "event");
         let mut stream = TcpStream::connect(addr).unwrap();
         // Two pipelined requests in one write, then a third with close.
         stream
@@ -1302,25 +1113,5 @@ mod tests {
         let mut reader = BufReader::new(stream);
         let (status, _) = read_response(&mut reader);
         assert_eq!(status, 200, "in-flight requests drain through a stop");
-    }
-
-    #[test]
-    fn forced_threaded_fallback_serves_identically() {
-        // The fallback path must stay in behavioural lockstep; exercised here
-        // via the env-var test hook rather than a non-Linux host.
-        std::env::set_var("VITALITY_FORCE_THREADED_FRONT", "1");
-        let (mut front, addr) = front(echo_dispatch());
-        std::env::remove_var("VITALITY_FORCE_THREADED_FRONT");
-        assert!(!front.is_event_loop());
-        let mut stream = TcpStream::connect(addr).unwrap();
-        stream
-            .write_all(b"POST /a HTTP/1.1\r\nContent-Length: 3\r\n\r\nabc")
-            .unwrap();
-        let mut reader = BufReader::new(stream);
-        let (status, body) = read_response(&mut reader);
-        assert_eq!(status, 200);
-        assert!(body.contains("\"/a\""), "got {body}");
-        front.stop();
-        front.join();
     }
 }

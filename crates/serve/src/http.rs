@@ -5,13 +5,13 @@
 //! a socket produced, poll it for complete messages, and borrow the body as a
 //! zero-copy slice into the parse buffer. The readiness-driven event loop
 //! ([`crate::event_loop`]) drives it directly; the blocking [`MessageReader`] used by
-//! [`ServeClient`](crate::ServeClient) and the threaded fallback front is a thin
-//! loop over the same parser, so both ends frame messages identically by
+//! [`ServeClient`](crate::ServeClient) (which the gateway's backend pool runs on) is
+//! a thin loop over the same parser, so both ends frame messages identically by
 //! construction.
 
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use serde::json::JsonValue;
 
@@ -306,7 +306,7 @@ impl HttpParser {
 }
 
 /// Parses one head (everything before the `\r\n\r\n` terminator) into a
-/// [`ParsedHead`], enforcing the framing rules both fronts share:
+/// [`ParsedHead`], enforcing the framing rules every reader shares:
 ///
 /// - `Content-Length` must be non-empty ASCII digits only — `parse::<usize>()`
 ///   alone would accept a leading `+` (`Content-Length: +5`), which peers can
@@ -523,8 +523,8 @@ impl RouteResponse {
 }
 
 /// One response encoded to wire bytes, with the write-stage failpoints already
-/// applied. Both fronts (blocking and event loop) write responses through this,
-/// so the chaos sites fire identically under either connection front.
+/// applied. The event-loop front and the blocking [`write_response`] helpers both
+/// write through this, so the chaos sites fire identically on either path.
 pub struct EncodedResponse {
     /// The complete head + body wire bytes.
     pub bytes: Vec<u8>,
@@ -604,64 +604,6 @@ pub fn encode_response_typed(
     let mut bytes = head.into_bytes();
     bytes.extend_from_slice(body);
     EncodedResponse { bytes, fail_after }
-}
-
-/// Runs one server-side keep-alive connection to completion: read a message, let
-/// `route` produce a [`RouteResponse`], write the response, repeat until the peer
-/// closes, a framing error occurs, or `stop` reports shutdown. The blocking
-/// counterpart of the event-loop front, used by the threaded fallback on
-/// platforms without epoll — identical semantics (timeouts-as-shutdown-polls,
-/// keep-alive handling, 503 headers) by sharing the parser and encoder.
-pub fn serve_connection(
-    mut stream: TcpStream,
-    poll_interval: Duration,
-    max_body: usize,
-    stop: &dyn Fn() -> bool,
-    mut route: impl FnMut(&HttpMessage) -> RouteResponse,
-) {
-    let _ = stream.set_read_timeout(Some(poll_interval));
-    let _ = stream.set_nodelay(true);
-    let mut reader = MessageReader::new();
-    loop {
-        let message = match reader.read_message(&mut stream, max_body, stop) {
-            Ok(Some(message)) => message,
-            Ok(None) => return, // clean EOF or idle shutdown
-            Err(_) => return,   // framing error / peer reset: nothing sane to answer
-        };
-        let wants_close = message.wants_close();
-        let response = route(&message);
-        let keep_alive = !wants_close && !stop();
-        let mut headers: Vec<(&str, String)> = Vec::new();
-        if let Some(secs) = response.retry_after {
-            headers.push(("Retry-After", secs.to_string()));
-        }
-        let serialize_start = Instant::now();
-        let (content_type, body) = match response.text_body {
-            Some((content_type, text)) => (content_type, text),
-            None => ("application/json", response.body.to_json()),
-        };
-        let write_start = Instant::now();
-        let wrote = write_encoded(
-            &mut stream,
-            &encode_response_typed(
-                response.status,
-                body.as_bytes(),
-                keep_alive,
-                &headers,
-                content_type,
-            ),
-        );
-        if let Some(hook) = response.on_written {
-            hook(WriteReport {
-                serialize_start,
-                write_start,
-                done: Instant::now(),
-            });
-        }
-        if wrote.is_err() || !keep_alive {
-            return;
-        }
-    }
 }
 
 fn write_encoded(stream: &mut TcpStream, encoded: &EncodedResponse) -> io::Result<()> {

@@ -30,31 +30,7 @@ use vitality_tensor::Matrix;
 
 /// Builds the body of a `POST /v1/infer` request.
 pub fn infer_request_json(model: &str, image: &Matrix) -> JsonValue {
-    infer_request_json_with_tier(model, image, None)
-}
-
-/// Builds a `POST /v1/infer` body carrying an optional routing-tier hint.
-pub fn infer_request_json_with_tier(model: &str, image: &Matrix, tier: Option<&str>) -> JsonValue {
-    infer_request_json_with_options(model, image, tier, None)
-}
-
-/// Builds a `POST /v1/infer` body with every optional field: a routing-tier hint and
-/// a remaining-deadline budget in milliseconds.
-pub fn infer_request_json_with_options(
-    model: &str,
-    image: &Matrix,
-    tier: Option<&str>,
-    deadline_ms: Option<u64>,
-) -> JsonValue {
-    infer_request_json_opts(
-        model,
-        image,
-        &InferOptions {
-            tier,
-            deadline_ms,
-            ..InferOptions::default()
-        },
-    )
+    infer_request_json_opts(model, image, &InferOptions::default())
 }
 
 /// Every optional `POST /v1/infer` field in one place, so adding a field does not
@@ -483,7 +459,11 @@ mod tests {
     #[test]
     fn tier_hints_parse_and_round_trip() {
         let image = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]).unwrap();
-        let body = infer_request_json_with_tier("m:taylor", &image, Some("latency"));
+        let opts = InferOptions {
+            tier: Some("latency"),
+            ..InferOptions::default()
+        };
+        let body = infer_request_json_opts("m:taylor", &image, &opts);
         let parsed = serde::json::parse(&body.to_json()).unwrap();
         assert_eq!(parse_infer_tier(&parsed).unwrap(), Some("latency".into()));
         // The engine-side request parse is oblivious to the hint.
@@ -503,7 +483,12 @@ mod tests {
     #[test]
     fn deadline_budgets_parse_and_round_trip() {
         let image = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]).unwrap();
-        let body = infer_request_json_with_options("m:taylor", &image, Some("accuracy"), Some(250));
+        let opts = InferOptions {
+            tier: Some("accuracy"),
+            deadline_ms: Some(250),
+            ..InferOptions::default()
+        };
+        let body = infer_request_json_opts("m:taylor", &image, &opts);
         let parsed = serde::json::parse(&body.to_json()).unwrap();
         assert_eq!(parse_infer_deadline_ms(&parsed).unwrap(), Some(250));
         assert_eq!(parse_infer_tier(&parsed).unwrap(), Some("accuracy".into()));

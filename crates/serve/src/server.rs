@@ -31,8 +31,7 @@ pub struct ServerConfig {
     pub policy: BatchPolicy,
     /// Largest accepted request body.
     pub max_body_bytes: usize,
-    /// The event loop's poll timeout (doubles as the shutdown poll interval; on the
-    /// threaded fallback it is the socket read timeout serving the same role).
+    /// The event loop's poll timeout (doubles as the shutdown poll interval).
     pub poll_interval: Duration,
     /// Retained for configuration compatibility. The blocking front used this as
     /// the per-request wait on the worker's reply channel; the event front needs

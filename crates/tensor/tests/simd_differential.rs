@@ -8,15 +8,14 @@
 //!   only: within `1e-5` across shapes covering every remainder lane of the 8×8
 //!   register tile.
 //! * **i8** — the native `maddubs` path is exact integer arithmetic and must be
-//!   **bit-identical** to the scalar `gemm_i8_into` reference, including reductions
-//!   longer than `I8_EXACT_CHUNK` (the native path does not chunk; the f32 lattice
-//!   path does — both must agree exactly).
+//!   **bit-identical** to the scalar `gemm_i8_into` reference, its only fallback,
+//!   including reductions over a thousand deep.
 //!
 //! On hosts or builds without AVX2/FMA (non-x86, `--cfg force_scalar`, old CPUs) the
 //! SIMD entry points report unavailable / fall back; the suite then degenerates to
 //! re-checking the scalar paths against themselves, which keeps it green everywhere.
 
-use vitality_tensor::backend::{IntOperand, Operand, I8_EXACT_CHUNK};
+use vitality_tensor::backend::{IntOperand, Operand};
 use vitality_tensor::simd::gemm_f32_avx2_direct;
 use vitality_tensor::{cpu_features, MatmulBackend};
 
@@ -51,7 +50,7 @@ fn max_abs_diff(a: &[f32], b: &[f32]) -> f32 {
 }
 
 /// i8 fill constrained to [-127, 127]: the native kernel's documented domain (the
-/// excluded -128 gets its own dedicated fallback test below).
+/// excluded -128 is a debug-build assertion, pinned below).
 fn entry_i8(i: usize, salt: usize) -> i8 {
     (((i * 37 + salt) % 255) as i32 - 127) as i8
 }
@@ -140,15 +139,15 @@ fn f32_simd_kernel_handles_transposed_operands() {
 #[test]
 fn i8_native_kernel_is_bit_identical_to_the_scalar_reference() {
     // Shapes covering every remainder-lane mix, plus reductions straddling the
-    // KG = 4 depth grouping and the I8_EXACT_CHUNK split of the lattice path.
+    // KG = 4 depth grouping and running over a thousand deep.
     for &(m, k, n) in &[
         (1usize, 1usize, 1usize),
         (7, 9, 8),
         (8, 196, 8),
         (9, 63, 65),
         (64, 196, 64),
-        (3, I8_EXACT_CHUNK, 5),
-        (8, I8_EXACT_CHUNK + 500, 8),
+        (3, 1024, 5),
+        (8, 1524, 8),
     ] {
         let a: Vec<i8> = (0..m * k).map(|i| entry_i8(i, 11)).collect();
         let b: Vec<i8> = (0..k * n).map(|i| entry_i8(i, 7)).collect();
@@ -163,7 +162,7 @@ fn i8_native_kernel_is_bit_identical_to_the_scalar_reference() {
         );
 
         let mut native = vec![i32::MIN; m * n];
-        let ran = MatmulBackend::Avx2.gemm_i8_native_into(
+        let ran = MatmulBackend::Avx2.gemm_i8_native_clamped_into(
             &mut native,
             m,
             k,
@@ -180,107 +179,63 @@ fn i8_native_kernel_is_bit_identical_to_the_scalar_reference() {
         } else {
             assert!(!ran, "native path must refuse without AVX2/FMA");
         }
-
-        // The lattice route (widen → exact gemm) must stay bit-identical under the
-        // Avx2 backend too — it now narrows back to the maddubs kernel internally.
-        let mut a_f = vec![0f32; m * k];
-        let mut b_f = vec![0f32; k * n];
-        let mut c_f = vec![0f32; m * n];
-        let mut lattice = vec![7i32; m * n];
-        MatmulBackend::Avx2.gemm_i8_exact_into(
-            &mut lattice,
-            m,
-            k,
-            n,
-            IntOperand::row_major(&a, k),
-            IntOperand::row_major(&b, n),
-            &mut a_f,
-            &mut b_f,
-            &mut c_f,
-        );
-        assert_eq!(
-            lattice, reference,
-            "lattice i8 ({m},{k},{n}) not bit-identical"
-        );
     }
 }
 
 #[test]
 fn i8_native_kernel_handles_transposed_operands_bit_identically() {
-    let (m, k, n) = (64usize, 196usize, 64usize);
-    // A^T stored row-major (k × m) — the attention kernels' G = K̂ᵀV shape.
-    let at: Vec<i8> = (0..k * m).map(|i| entry_i8(i, 29)).collect();
-    let b: Vec<i8> = (0..k * n).map(|i| entry_i8(i, 13)).collect();
-    let mut reference = vec![0i32; m * n];
-    MatmulBackend::Blocked.gemm_i8_into(
-        &mut reference,
-        m,
-        k,
-        n,
-        IntOperand::transposed(&at, m),
-        IntOperand::row_major(&b, n),
-    );
-    let mut native = vec![0i32; m * n];
-    let ran = MatmulBackend::Avx2.gemm_i8_native_into(
-        &mut native,
-        m,
-        k,
-        n,
-        IntOperand::transposed(&at, m),
-        IntOperand::row_major(&b, n),
-    );
-    if cpu_features().simd_ready() {
-        assert!(ran);
-        assert_eq!(native, reference, "transposed native i8 not bit-identical");
+    // A^T stored row-major (k × m) — the attention kernels' G = K̂ᵀV shape, at the
+    // served head width d = 8 for n = 196 and n = 1024 tokens, plus a wide tile.
+    for &(m, k, n) in &[(64usize, 196usize, 64usize), (8, 196, 8), (8, 1024, 8)] {
+        let at: Vec<i8> = (0..k * m).map(|i| entry_i8(i, 29)).collect();
+        let b: Vec<i8> = (0..k * n).map(|i| entry_i8(i, 13)).collect();
+        let mut reference = vec![0i32; m * n];
+        MatmulBackend::Blocked.gemm_i8_into(
+            &mut reference,
+            m,
+            k,
+            n,
+            IntOperand::transposed(&at, m),
+            IntOperand::row_major(&b, n),
+        );
+        let mut native = vec![0i32; m * n];
+        let ran = MatmulBackend::Avx2.gemm_i8_native_clamped_into(
+            &mut native,
+            m,
+            k,
+            n,
+            IntOperand::transposed(&at, m),
+            IntOperand::row_major(&b, n),
+        );
+        if cpu_features().simd_ready() {
+            assert!(ran);
+            assert_eq!(
+                native, reference,
+                "transposed native i8 ({m},{k},{n}) not bit-identical"
+            );
+        }
     }
 }
 
+#[cfg(debug_assertions)]
 #[test]
-fn i8_native_path_refuses_minus_128_and_the_fallback_stays_exact() {
+#[should_panic(expected = "outside the maddubs domain")]
+fn clamped_native_entry_asserts_the_minus_128_contract_in_debug_builds() {
     // -128 is the one i8 value the abs/sign maddubs idiom cannot represent
-    // (`_mm256_sign_epi8` negation wraps); the native entry must refuse it and the
-    // lattice route must still produce the exact product through the f32 fallback.
+    // (`_mm256_sign_epi8` negation wraps); debug builds reject it on every host.
     let (m, k, n) = (9usize, 65usize, 7usize);
     let mut a: Vec<i8> = (0..m * k).map(|i| entry_i8(i, 3)).collect();
     let b: Vec<i8> = (0..k * n).map(|i| entry_i8(i, 17)).collect();
     a[m * k / 2] = i8::MIN;
-
-    let mut native = vec![0i32; m * n];
-    let ran = MatmulBackend::Avx2.gemm_i8_native_into(
-        &mut native,
+    let mut out = vec![0i32; m * n];
+    MatmulBackend::Avx2.gemm_i8_native_clamped_into(
+        &mut out,
         m,
         k,
         n,
         IntOperand::row_major(&a, k),
         IntOperand::row_major(&b, n),
     );
-    assert!(!ran, "native path must refuse operands containing -128");
-
-    let mut reference = vec![0i32; m * n];
-    MatmulBackend::Blocked.gemm_i8_into(
-        &mut reference,
-        m,
-        k,
-        n,
-        IntOperand::row_major(&a, k),
-        IntOperand::row_major(&b, n),
-    );
-    let mut a_f = vec![0f32; m * k];
-    let mut b_f = vec![0f32; k * n];
-    let mut c_f = vec![0f32; m * n];
-    let mut lattice = vec![0i32; m * n];
-    MatmulBackend::Avx2.gemm_i8_exact_into(
-        &mut lattice,
-        m,
-        k,
-        n,
-        IntOperand::row_major(&a, k),
-        IntOperand::row_major(&b, n),
-        &mut a_f,
-        &mut b_f,
-        &mut c_f,
-    );
-    assert_eq!(lattice, reference, "-128 fallback lost exactness");
 }
 
 #[test]
@@ -343,38 +298,6 @@ fn quantization_sweeps_match_their_scalar_references_bit_for_bit() {
             simd_sums, scalar_sums,
             "i8_column_sums diverged at ({rows},{cols})"
         );
-    }
-}
-
-#[test]
-fn clamped_native_entry_matches_the_scanning_entry() {
-    // The clamped entry skips the -128 operand scans on the strength of the
-    // quantizer's ±127 saturation; on in-domain operands it must behave exactly
-    // like the general entry (same dispatch verdict, same bits).
-    let (m, k, n) = (64usize, 196usize, 64usize);
-    let at: Vec<i8> = (0..k * m).map(|i| entry_i8(i, 41)).collect();
-    let b: Vec<i8> = (0..k * n).map(|i| entry_i8(i, 43)).collect();
-    let mut scanned = vec![0i32; m * n];
-    let mut clamped = vec![1i32; m * n];
-    let ran_scanned = MatmulBackend::Avx2.gemm_i8_native_into(
-        &mut scanned,
-        m,
-        k,
-        n,
-        IntOperand::transposed(&at, m),
-        IntOperand::row_major(&b, n),
-    );
-    let ran_clamped = MatmulBackend::Avx2.gemm_i8_native_clamped_into(
-        &mut clamped,
-        m,
-        k,
-        n,
-        IntOperand::transposed(&at, m),
-        IntOperand::row_major(&b, n),
-    );
-    assert_eq!(ran_scanned, ran_clamped, "entries disagreed on dispatch");
-    if ran_scanned {
-        assert_eq!(scanned, clamped, "clamped entry not bit-identical");
     }
 }
 
