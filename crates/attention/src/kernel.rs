@@ -80,7 +80,7 @@ use crate::{validate_qkv, AttentionMechanism};
 use std::fmt;
 use vitality_autograd::Var;
 use vitality_tensor::backend::Operand;
-use vitality_tensor::{matmul_backend, MatmulBackend, Matrix, Workspace};
+use vitality_tensor::{matmul_backend, simd, MatmulBackend, Matrix, Workspace};
 
 /// Query rows processed per block by the workspace kernels — bounds the scratch slice
 /// of any `n x n` interaction to `ROW_BLOCK x n` regardless of the token count.
@@ -327,12 +327,22 @@ impl AttentionKernel for SoftmaxAttention {
         "softmax"
     }
 
-    /// Blockwise fused softmax attention: [`ROW_BLOCK`] query rows at a time, the logit
-    /// block and the `P·V` product both through the blocked GEMM backend into workspace
-    /// scratch, normalisation folded into the output write — the sequential,
-    /// allocation-free sibling of
-    /// [`fused_softmax_attention`](crate::fused_softmax_attention) (parallelism belongs
-    /// to the caller's per-image axis).
+    /// Blockwise fused softmax attention over three vector sweeps of
+    /// [`vitality_tensor::simd`]. `K` is transposed once per call into a `d × n`
+    /// workspace buffer; then, [`ROW_BLOCK`] query rows at a time:
+    ///
+    /// 1. [`scaled_logits`](simd::scaled_logits) writes the block's `Q Kᵀ / sqrt(d)`
+    ///    logits into the probability scratch;
+    /// 2. [`shifted_exp_sum`](simd::shifted_exp_sum) turns each row into
+    ///    `exp(x − max)` and returns its sum;
+    /// 3. [`scaled_pv`](simd::scaled_pv) multiplies the unnormalised probabilities by
+    ///    `V` and folds each row's `1/sum` into the output store.
+    ///
+    /// Every sweep dispatches to AVX2 at runtime and otherwise runs its scalar twin; the
+    /// matmul backend setting does not apply here. The sequential, allocation-free
+    /// sibling of [`fused_softmax_attention`](crate::fused_softmax_attention), which
+    /// stays the libm-`exp` reference (parallelism belongs to the caller's per-image
+    /// axis).
     fn compute_into(
         &self,
         q: &Matrix,
@@ -346,54 +356,39 @@ impl AttentionKernel for SoftmaxAttention {
         let d = q.cols();
         let d_v = v.cols();
         let n_q = q.rows();
+        if n == 0 {
+            // No keys to attend to: every row's probability mass is empty.
+            out.as_mut_slice().fill(0.0);
+            return;
+        }
         let scale = 1.0 / (d as f32).sqrt();
-        let backend = matmul_backend();
+        let mut kt = ws.take_vec(d * n);
+        for (j, k_row) in k.as_slice().chunks_exact(d).enumerate() {
+            for (c, &kv) in k_row.iter().enumerate() {
+                kt[c * n + j] = kv;
+            }
+        }
         let bs_max = ROW_BLOCK.min(n_q.max(1));
         let mut probs = ws.take_vec(bs_max * n);
-        let mut z = ws.take_vec(bs_max * d_v);
         let mut inv_sums = [0.0f32; ROW_BLOCK];
         for lo in (0..n_q).step_by(ROW_BLOCK) {
             let hi = (lo + ROW_BLOCK).min(n_q);
-            let bs = hi - lo;
-            backend.gemm_into(
-                &mut probs[..bs * n],
-                bs,
-                d,
-                n,
-                Operand::row_major(&q.as_slice()[lo * d..hi * d], d),
-                Operand::transposed(k.as_slice(), d),
-            );
-            for (local, inv) in inv_sums.iter_mut().enumerate().take(bs) {
-                let row = &mut probs[local * n..(local + 1) * n];
-                let max = row.iter().fold(f32::NEG_INFINITY, |m, &x| m.max(x * scale));
-                let mut sum = 0.0f32;
-                for x in row.iter_mut() {
-                    *x = (*x * scale - max).exp();
-                    sum += *x;
-                }
+            let block = &mut probs[..(hi - lo) * n];
+            simd::scaled_logits(&q.as_slice()[lo * d..hi * d], d, &kt, scale, block);
+            for (row, inv) in block.chunks_exact_mut(n).zip(inv_sums.iter_mut()) {
+                let sum = simd::shifted_exp_sum(row);
                 *inv = if sum > 0.0 { 1.0 / sum } else { 0.0 };
             }
-            backend.gemm_into(
-                &mut z[..bs * d_v],
-                bs,
-                n,
+            simd::scaled_pv(
+                block,
+                v.as_slice(),
                 d_v,
-                Operand::row_major(&probs[..bs * n], n),
-                Operand::row_major(v.as_slice(), d_v),
+                &inv_sums[..hi - lo],
+                &mut out.as_mut_slice()[lo * d_v..hi * d_v],
             );
-            for local in 0..bs {
-                let inv = inv_sums[local];
-                for (o, &zv) in out
-                    .row_mut(lo + local)
-                    .iter_mut()
-                    .zip(z[local * d_v..(local + 1) * d_v].iter())
-                {
-                    *o = zv * inv;
-                }
-            }
         }
+        ws.recycle_vec(kt);
         ws.recycle_vec(probs);
-        ws.recycle_vec(z);
     }
 
     fn op_counts(&self, n: usize, d: usize) -> OpCounts {

@@ -21,7 +21,12 @@
 //!   fused and traced f32 Taylor paths, with an accuracy-delta column — top-1
 //!   agreement between the int8-calibrated and f32 Taylor models on the synthetic
 //!   eval set (gates: delta ≤ 1% top-1, int8 ≥ 1.0× the traced f32 throughput at
-//!   n = 196, kernel divergence within the documented quantization tolerance).
+//!   n = 196, kernel divergence within the documented quantization tolerance);
+//! * per token count `n ∈ {196, 1024}` at the served head dim `d = 8`: the taylor,
+//!   softmax and int8 kernels timed through `compute_into` on a warm workspace
+//!   (`served_heads`);
+//! * per token count `n ∈ {196, 1024}` (head dim 64): the hardware-counter series
+//!   (`kernel_counters`) for the taylor, softmax, int8 and unified kernels.
 //!
 //! Usage: `cargo run --release -p vitality-bench --bin bench_attention [-- --quick]`.
 //! `--quick` drops the `n = 4096` Taylor point (used by CI to keep the job short); the
@@ -112,6 +117,7 @@ fn measure_kernel_counters(token_counts: &[usize], d: usize) -> Vec<JsonValue> {
         let k = init::normal(&mut rng, n, d, 0.0, 0.3);
         let v = init::normal(&mut rng, n, d, 0.0, 1.0);
         let taylor = TaylorAttention::new();
+        let softmax = SoftmaxAttention::new();
         let int8 = QuantizedTaylorKernel::new(Int8Calibration::Dynamic);
         let unified = UnifiedAttentionKernel::new(UNIFIED_THRESHOLD);
         let mut ws = Workspace::new();
@@ -119,7 +125,7 @@ fn measure_kernel_counters(token_counts: &[usize], d: usize) -> Vec<JsonValue> {
         // Warm every path once outside the window: first-touch allocation and
         // lazy workspace growth must not be attributed to the kernels.
         taylor.compute_fused(&q, &k, &v);
-        fused_softmax_attention(&q, &k, &v);
+        softmax.compute_into(&q, &k, &v, &mut ws, &mut out);
         int8.compute_into(&q, &k, &v, &mut ws, &mut out);
         unified.compute_into(&q, &k, &v, &mut ws, &mut out);
         let rows = [
@@ -132,7 +138,7 @@ fn measure_kernel_counters(token_counts: &[usize], d: usize) -> Vec<JsonValue> {
             (
                 "softmax",
                 measure_counters(n, COUNTER_REPS, || {
-                    std::hint::black_box(fused_softmax_attention(&q, &k, &v));
+                    softmax.compute_into(&q, &k, &v, &mut ws, &mut out);
                 }),
             ),
             (
@@ -154,6 +160,44 @@ fn measure_kernel_counters(token_counts: &[usize], d: usize) -> Vec<JsonValue> {
                 .set("n", n)
                 .set("d", d)
                 .set("counters", counters);
+            series.push(o);
+        }
+    }
+    series
+}
+
+/// The head dimension the served models use (embed 32 over 4 heads).
+const SERVED_HEAD_DIM: usize = 8;
+
+/// The served-shape series: ns per `compute_into` call of the taylor, softmax and
+/// int8 kernels at head dim [`SERVED_HEAD_DIM`], on a warm workspace, each
+/// `{kernel, n, d, ns}`.
+fn measure_served_heads(token_counts: &[usize]) -> Vec<JsonValue> {
+    let d = SERVED_HEAD_DIM;
+    let mut series = Vec::new();
+    for &n in token_counts {
+        let mut rng = StdRng::seed_from_u64(50_000 + n as u64);
+        let q = init::normal(&mut rng, n, d, 0.0, 0.3);
+        let k = init::normal(&mut rng, n, d, 0.0, 0.3);
+        let v = init::normal(&mut rng, n, d, 0.0, 1.0);
+        let kernels: [(&str, Box<dyn AttentionKernel>); 3] = [
+            ("taylor", Box::new(TaylorAttention::new())),
+            ("softmax", Box::new(SoftmaxAttention::new())),
+            (
+                "int8",
+                Box::new(QuantizedTaylorKernel::new(Int8Calibration::Dynamic)),
+            ),
+        ];
+        let mut ws = Workspace::new();
+        let mut out = Matrix::zeros(n, d);
+        for (kernel, attention) in kernels {
+            let ns = measure_ns(|| attention.compute_into(&q, &k, &v, &mut ws, &mut out));
+            println!("served head n={n:>4} d={d}: {kernel:>8} compute_into {ns:>12.0} ns");
+            let mut o = JsonValue::object();
+            o.set("kernel", kernel)
+                .set("n", n)
+                .set("d", d)
+                .set("ns", ns);
             series.push(o);
         }
     }
@@ -455,6 +499,9 @@ fn main() {
         );
         int8_points.push(p);
     }
+    // The served head shape, timed through the kernels' serving entry point.
+    let served_heads = measure_served_heads(&[196, 1024]);
+
     // Per-kernel hardware-counter series (cycles/token, IPC, LLC miss rate).
     // Supported on bare-metal Linux with a readable PMU; containers and CI
     // runners commonly block `perf_event_open(2)`, in which case every block
@@ -588,6 +635,7 @@ fn main() {
         .set("attention", attention)
         .set("unified", unified)
         .set("int8", int8)
+        .set("served_heads", served_heads)
         .set("perf_supported", perf_supported)
         .set("kernel_counters", kernel_counters)
         .set("int8_eval_images", int8_eval_images)

@@ -12,7 +12,7 @@
 
 #![deny(missing_docs)]
 
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 /// Everything a caller needs to use the parallel iterator subset.
 pub mod prelude {
@@ -29,15 +29,23 @@ std::thread_local! {
     static IN_PARALLEL_REGION: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
+/// The host's core count, queried once: `available_parallelism()` reads cgroup and
+/// affinity state on every call, which costs tens of microseconds per parallel region.
+fn core_count() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    })
+}
+
 /// Number of worker threads to use for a job of `len` independent items.
 fn workers_for(len: usize) -> usize {
     if len <= 1 || IN_PARALLEL_REGION.with(|flag| flag.get()) {
         return 1;
     }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(len)
+    core_count().min(len)
 }
 
 /// Runs every item of `items` through `f`, distributing items over scoped worker

@@ -17,6 +17,24 @@
 //!   `-128` (where `_mm256_sign_epi8`'s negation would wrap) and fall back to the
 //!   scalar-exact path instead.
 //!
+//! Three row sweeps make up the softmax attention kernel
+//! (`SoftmaxAttention::compute_into` in `vitality-attention`):
+//!
+//! * [`scaled_logits`] — `Q Kᵀ · scale` for a block of query rows against transposed
+//!   keys, several 8-lane FMA accumulators per row, each output written once;
+//! * [`shifted_exp_sum`] — `exp(x − max)` over a row, returning the row sum. The
+//!   exponential is Cephes-style (clamp, magic-constant rounding, two-term `ln 2`
+//!   reduction, degree-5 polynomial, exponent-bit scale) with plain multiplies and
+//!   adds; its relative error is at most [`EXP_MAX_REL_ERROR`] (`1e-7`; the worst
+//!   case over every `f32` in `[-87, 0]` is `8.13e-8`) against the exact `exp`;
+//! * [`scaled_pv`] — the `P·V` product, broadcast-FMA of each probability against its
+//!   `V` row, with the `1/sum` normalisation folded into the store.
+//!
+//! Each has a scalar twin (`*_scalar`), which is the route on hosts without AVX2/FMA.
+//! The exp/sum twin is **bit-identical** to the AVX2 path (values and sum: same
+//! operations, same lane and fold order); the logit and `P·V` twins use separate
+//! multiply and add and so agree with the FMA paths to within `1e-5`.
+//!
 //! Everything here is gated twice: at compile time on `target_arch = "x86_64"` plus the
 //! `--cfg force_scalar` escape hatch (useful under Miri, which does not model the
 //! intrinsics), and at runtime on [`cpu_features`] (cached
@@ -227,6 +245,249 @@ pub fn i8_column_sums_scalar(data: &[i8], out: &mut [i32]) {
     for row in data.chunks_exact(out.len()) {
         for (acc, &v) in out.iter_mut().zip(row) {
             *acc += i32::from(v);
+        }
+    }
+}
+
+/// Lower clamp of the [`shifted_exp_sum`] exponential. Every input at or below it
+/// rounds to `n = -127`, whose exponent field is zero, so the result is exactly `0.0`
+/// (an underflow, never a NaN or an infinity).
+const EXP_LO: f32 = -88.0;
+/// Upper clamp of the exponential: `n = 127` keeps `2ⁿ` a finite normal float.
+const EXP_HI: f32 = 88.0;
+/// Cody–Waite split of `ln 2`: the high half has 9 significant bits, so `n · LN2_HI`
+/// is exact for every `|n| ≤ 128` and the reduction loses nothing there.
+const LN2_HI: f32 = 355.0 / 512.0;
+const LN2_LO: f32 = -2.121_944_4e-4;
+/// Cephes `expf` minimax coefficients for `e^r ≈ 1 + r + r² · P(r)` on
+/// `|r| ≤ ln 2 / 2`, highest degree first.
+const EXP_POLY: [f32; 6] = [
+    1.987_569_1e-4,
+    1.398_199_9e-3,
+    8.333_452e-3,
+    4.166_579_6e-2,
+    1.666_666_5e-1,
+    0.5,
+];
+
+/// Documented bound on the relative error of the [`shifted_exp_sum`] exponential
+/// against the exact `exp` (evaluated in f64) for every input in `[-87, 0]`. An
+/// exhaustive sweep over every `f32` in that range peaks at `8.13e-8`, at
+/// `x ≈ -59.95`. Below `-87.33` the result falls into the subnormal range and,
+/// from about `-87.7`, flushes to `0.0` — the softmax sweep only meets such values
+/// for probabilities already below `1e-38` of the row maximum.
+pub const EXP_MAX_REL_ERROR: f64 = 1.0e-7;
+
+/// `max` with the exact semantics of `vmaxps a, b`: `a` when `a > b`, else `b`
+/// (so the second operand wins on ties, signed zeros and NaN). The scalar twins use
+/// it so they pick the very same bits as the AVX2 lanes.
+#[inline(always)]
+fn max_ps(a: f32, b: f32) -> f32 {
+    if a > b {
+        a
+    } else {
+        b
+    }
+}
+
+/// `min` with the exact semantics of `vminps a, b`.
+#[inline(always)]
+fn min_ps(a: f32, b: f32) -> f32 {
+    if a < b {
+        a
+    } else {
+        b
+    }
+}
+
+/// The scalar Cephes-style exponential: clamp to `[EXP_LO, EXP_HI]`,
+/// `n = rne(x · log₂e)` by the [`MAGIC`] add, `r = x − n·ln2_hi − n·ln2_lo`,
+/// `e^r ≈ 1 + r + r²·P(r)`, then scale by `2ⁿ` built in the exponent bits. Plain
+/// multiplies and adds in a fixed order — the AVX2 lanes run exactly this sequence,
+/// so the two are bit-identical.
+#[inline(always)]
+fn exp_scalar(x: f32) -> f32 {
+    let x = min_ps(max_ps(x, EXP_LO), EXP_HI);
+    let t = x * std::f32::consts::LOG2_E + MAGIC;
+    let fx = t - MAGIC;
+    let n = (t.to_bits() as i32).wrapping_sub(MAGIC_BITS);
+    let r = (x - fx * LN2_HI) - fx * LN2_LO;
+    let r2 = r * r;
+    let mut p = EXP_POLY[0];
+    for &c in &EXP_POLY[1..] {
+        p = p * r + c;
+    }
+    let y = (p * r2 + r) + 1.0;
+    y * f32::from_bits(((n + 127) << 23) as u32)
+}
+
+/// Softmax sweep 1, the scaled logits: `out[i·n + j] = Σ_c (q[i·d + c] · scale) ·
+/// kt[c·n + j]` for a block of `q.len() / d` query rows against the transposed keys
+/// `kt` (`d × n`, row-major — each key column contiguous). Every output element is
+/// written once; nothing is zero-filled or accumulated into.
+///
+/// The AVX2 path takes query rows in pairs and broadcasts each scaled query entry
+/// against contiguous `Kᵀ` rows, four 8-lane FMA accumulators per row (32 keys per
+/// step, every key load shared by both rows); the scalar twin does the same sums with
+/// separate multiply and add, so the two agree to FMA rounding.
+///
+/// # Panics
+///
+/// Panics when `d == 0`, `q.len()` or `kt.len()` is not a multiple of `d`, or
+/// `out.len() != (q.len() / d) · (kt.len() / d)`.
+pub fn scaled_logits(q: &[f32], d: usize, kt: &[f32], scale: f32, out: &mut [f32]) {
+    check_logit_shapes(q, d, kt, out);
+    #[cfg(all(target_arch = "x86_64", not(force_scalar)))]
+    if simd_available() {
+        // SAFETY: simd_available() verified avx2 + fma; shapes checked above.
+        unsafe { x86::scaled_logits_avx2(q, d, kt, scale, out) };
+        return;
+    }
+    scaled_logits_scalar(q, d, kt, scale, out);
+}
+
+fn check_logit_shapes(q: &[f32], d: usize, kt: &[f32], out: &[f32]) {
+    assert!(d > 0, "scaled_logits needs a non-zero feature dimension");
+    assert!(
+        q.len().is_multiple_of(d) && kt.len().is_multiple_of(d),
+        "scaled_logits operands are not multiples of d = {d}"
+    );
+    assert_eq!(
+        out.len(),
+        (q.len() / d) * (kt.len() / d),
+        "scaled_logits output length"
+    );
+}
+
+/// Scalar twin of [`scaled_logits`] — public for differential tests.
+#[doc(hidden)]
+pub fn scaled_logits_scalar(q: &[f32], d: usize, kt: &[f32], scale: f32, out: &mut [f32]) {
+    check_logit_shapes(q, d, kt, out);
+    let n = kt.len() / d;
+    if n == 0 {
+        return;
+    }
+    for (q_row, out_row) in q.chunks_exact(d).zip(out.chunks_exact_mut(n)) {
+        let q0 = q_row[0] * scale;
+        for (o, &kv) in out_row.iter_mut().zip(&kt[..n]) {
+            *o = q0 * kv;
+        }
+        for (c, &qc) in q_row.iter().enumerate().skip(1) {
+            let qc = qc * scale;
+            for (o, &kv) in out_row.iter_mut().zip(&kt[c * n..(c + 1) * n]) {
+                *o += qc * kv;
+            }
+        }
+    }
+}
+
+/// Softmax sweep 2, the exponentials: replaces every `x` of `row` with
+/// `exp(x − max(row))` and returns their sum (`0.0` for an empty row). Finite inputs
+/// assumed.
+///
+/// One vector pass takes the maximum, a second writes the exponentials and sums them
+/// in eight lane accumulators; lanes are then folded in order and the `len % 8` tail
+/// added last. The exponential is the Cephes-style polynomial of `exp_scalar`, within
+/// [`EXP_MAX_REL_ERROR`] of the true value on `[-87, 0]`. The scalar twin repeats the
+/// lane order, the fold order and every IEEE operation, so values **and** the returned
+/// sum are bit-identical to the AVX2 path.
+pub fn shifted_exp_sum(row: &mut [f32]) -> f32 {
+    #[cfg(all(target_arch = "x86_64", not(force_scalar)))]
+    if simd_available() {
+        // SAFETY: simd_available() verified the CPU advertises avx2.
+        return unsafe { x86::shifted_exp_sum_avx2(row) };
+    }
+    shifted_exp_sum_scalar(row)
+}
+
+/// Scalar twin of [`shifted_exp_sum`] — public for differential tests.
+#[doc(hidden)]
+pub fn shifted_exp_sum_scalar(row: &mut [f32]) -> f32 {
+    let mut chunks = row.chunks_exact_mut(8);
+    let mut lanes = [f32::NEG_INFINITY; 8];
+    for chunk in chunks.by_ref() {
+        for (lane, &x) in lanes.iter_mut().zip(chunk.iter()) {
+            *lane = max_ps(*lane, x);
+        }
+    }
+    let mut max = lanes[0];
+    for &lane in &lanes[1..] {
+        max = max_ps(max, lane);
+    }
+    for &x in chunks.into_remainder().iter() {
+        max = max_ps(max, x);
+    }
+    let mut chunks = row.chunks_exact_mut(8);
+    let mut sums = [0.0f32; 8];
+    for chunk in chunks.by_ref() {
+        for (sum, x) in sums.iter_mut().zip(chunk.iter_mut()) {
+            *x = exp_scalar(*x - max);
+            *sum += *x;
+        }
+    }
+    let mut total = sums[0];
+    for &sum in &sums[1..] {
+        total += sum;
+    }
+    for x in chunks.into_remainder() {
+        *x = exp_scalar(*x - max);
+        total += *x;
+    }
+    total
+}
+
+/// Softmax sweep 3, the normalised `P·V`: `out[i·d_v + c] = inv[i] · Σ_j p[i·n + j] ·
+/// v[j·d_v + c]` for `inv.len()` query rows, with `n = v.len() / d_v`. For value
+/// widths that are multiples of 8, the AVX2 path takes four query rows at a time and
+/// broadcasts each probability against its `V` row (one load shared by the four
+/// rows), two keys per step into eight independent 8-lane FMA accumulators, and folds
+/// the `1/sum` normalisation into the single store; the scalar twin (every other
+/// width) agrees with it to FMA rounding.
+///
+/// # Panics
+///
+/// Panics when `v.len()` is not a multiple of `d_v`, or `p` / `out` do not hold
+/// `inv.len()` rows of `n` / `d_v` entries.
+pub fn scaled_pv(p: &[f32], v: &[f32], d_v: usize, inv: &[f32], out: &mut [f32]) {
+    check_pv_shapes(p, v, d_v, inv, out);
+    #[cfg(all(target_arch = "x86_64", not(force_scalar)))]
+    if simd_available() && d_v > 0 && d_v.is_multiple_of(8) {
+        // SAFETY: simd_available() verified avx2 + fma; shapes checked above and
+        // `d_v` is a non-zero multiple of 8.
+        unsafe { x86::scaled_pv_avx2(p, v, d_v, inv, out) };
+        return;
+    }
+    scaled_pv_scalar(p, v, d_v, inv, out);
+}
+
+fn check_pv_shapes(p: &[f32], v: &[f32], d_v: usize, inv: &[f32], out: &[f32]) {
+    assert_eq!(out.len(), inv.len() * d_v, "scaled_pv output length");
+    if d_v > 0 {
+        assert!(
+            v.len().is_multiple_of(d_v),
+            "scaled_pv: v is not a multiple of d_v = {d_v}"
+        );
+        assert_eq!(p.len(), inv.len() * (v.len() / d_v), "scaled_pv p length");
+    }
+}
+
+/// Scalar twin of [`scaled_pv`] — public for differential tests.
+#[doc(hidden)]
+pub fn scaled_pv_scalar(p: &[f32], v: &[f32], d_v: usize, inv: &[f32], out: &mut [f32]) {
+    check_pv_shapes(p, v, d_v, inv, out);
+    if d_v == 0 {
+        return;
+    }
+    let n = v.len() / d_v;
+    for (i, (out_row, &scale)) in out.chunks_exact_mut(d_v).zip(inv).enumerate() {
+        out_row.fill(0.0);
+        for (&pj, v_row) in p[i * n..(i + 1) * n].iter().zip(v.chunks_exact(d_v)) {
+            for (o, &vv) in out_row.iter_mut().zip(v_row) {
+                *o += pj * vv;
+            }
+        }
+        for o in out_row.iter_mut() {
+            *o *= scale;
         }
     }
 }
@@ -675,6 +936,292 @@ mod x86 {
                     *acc += i32::from(v);
                 }
             }
+        }
+    }
+
+    /// Eight lanes of `super::exp_scalar`, operation for operation.
+    ///
+    /// # Safety
+    ///
+    /// CPU must support `avx2`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn exp_avx2(x: __m256) -> __m256 {
+        let x = _mm256_min_ps(
+            _mm256_max_ps(x, _mm256_set1_ps(super::EXP_LO)),
+            _mm256_set1_ps(super::EXP_HI),
+        );
+        let magic = _mm256_set1_ps(super::MAGIC);
+        let t = _mm256_add_ps(
+            _mm256_mul_ps(x, _mm256_set1_ps(std::f32::consts::LOG2_E)),
+            magic,
+        );
+        let fx = _mm256_sub_ps(t, magic);
+        let n = _mm256_sub_epi32(_mm256_castps_si256(t), _mm256_set1_epi32(super::MAGIC_BITS));
+        let r = _mm256_sub_ps(
+            _mm256_sub_ps(x, _mm256_mul_ps(fx, _mm256_set1_ps(super::LN2_HI))),
+            _mm256_mul_ps(fx, _mm256_set1_ps(super::LN2_LO)),
+        );
+        let r2 = _mm256_mul_ps(r, r);
+        let mut p = _mm256_set1_ps(super::EXP_POLY[0]);
+        for &c in &super::EXP_POLY[1..] {
+            p = _mm256_add_ps(_mm256_mul_ps(p, r), _mm256_set1_ps(c));
+        }
+        let y = _mm256_add_ps(_mm256_add_ps(_mm256_mul_ps(p, r2), r), _mm256_set1_ps(1.0));
+        let scale = _mm256_slli_epi32::<23>(_mm256_add_epi32(n, _mm256_set1_epi32(127)));
+        _mm256_mul_ps(y, _mm256_castsi256_ps(scale))
+    }
+
+    /// AVX2 [`super::shifted_exp_sum`]: a `vmaxps` pass, then the exponential pass
+    /// with one 8-lane sum accumulator; lane folds and the tail run through the same
+    /// scalar helpers as the twin.
+    ///
+    /// # Safety
+    ///
+    /// CPU must support `avx2`.
+    #[target_feature(enable = "avx2")]
+    pub(crate) unsafe fn shifted_exp_sum_avx2(row: &mut [f32]) -> f32 {
+        let len = row.len();
+        let full = len - len % 8;
+        let ptr = row.as_mut_ptr();
+        let mut vmax = _mm256_set1_ps(f32::NEG_INFINITY);
+        for i in (0..full).step_by(8) {
+            // SAFETY: `i + 8 <= full <= len`.
+            vmax = _mm256_max_ps(vmax, unsafe { _mm256_loadu_ps(ptr.add(i)) });
+        }
+        let mut lanes = [0.0f32; 8];
+        // SAFETY: `lanes` is exactly the 8 stored f32 lanes.
+        unsafe { _mm256_storeu_ps(lanes.as_mut_ptr(), vmax) };
+        let mut max = lanes[0];
+        for &lane in &lanes[1..] {
+            max = super::max_ps(max, lane);
+        }
+        for &x in &row[full..] {
+            max = super::max_ps(max, x);
+        }
+        let shift = _mm256_set1_ps(max);
+        let mut vsum = _mm256_setzero_ps();
+        let mut i = 0;
+        // Four independent exponentials in flight per step; their sums still enter
+        // `vsum` one after another, in chunk order, as in the scalar twin.
+        while i + 32 <= full {
+            // SAFETY: `i + 32 <= full <= len` for the loads and the stores.
+            unsafe {
+                let e: [__m256; 4] = std::array::from_fn(|t| {
+                    exp_avx2(_mm256_sub_ps(_mm256_loadu_ps(ptr.add(i + 8 * t)), shift))
+                });
+                for (t, &e_t) in e.iter().enumerate() {
+                    _mm256_storeu_ps(ptr.add(i + 8 * t), e_t);
+                    vsum = _mm256_add_ps(vsum, e_t);
+                }
+            }
+            i += 32;
+        }
+        while i < full {
+            // SAFETY: `i + 8 <= full <= len` for the load and the store.
+            unsafe {
+                let e = exp_avx2(_mm256_sub_ps(_mm256_loadu_ps(ptr.add(i)), shift));
+                _mm256_storeu_ps(ptr.add(i), e);
+                vsum = _mm256_add_ps(vsum, e);
+            }
+            i += 8;
+        }
+        // SAFETY: as above.
+        unsafe { _mm256_storeu_ps(lanes.as_mut_ptr(), vsum) };
+        let mut total = lanes[0];
+        for &lane in &lanes[1..] {
+            total += lane;
+        }
+        for x in &mut row[full..] {
+            *x = super::exp_scalar(*x - max);
+            total += *x;
+        }
+        total
+    }
+
+    /// AVX2 [`super::scaled_logits`]: query rows in pairs (a lone last row on its
+    /// own), each pair sharing every `Kᵀ` load — see [`logit_rows`].
+    ///
+    /// # Safety
+    ///
+    /// CPU must support `avx2` and `fma`; shapes as checked by the dispatcher.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub(crate) unsafe fn scaled_logits_avx2(
+        q: &[f32],
+        d: usize,
+        kt: &[f32],
+        scale: f32,
+        out: &mut [f32],
+    ) {
+        let n = kt.len() / d;
+        if n == 0 {
+            return;
+        }
+        let mut q_pairs = q.chunks_exact(2 * d);
+        let mut out_pairs = out.chunks_exact_mut(2 * n);
+        for (q_pair, out_pair) in q_pairs.by_ref().zip(out_pairs.by_ref()) {
+            // SAFETY: avx2 + fma per this function's contract; the pair holds 2 rows.
+            unsafe { logit_rows::<2>(q_pair, d, kt, n, scale, out_pair) };
+        }
+        let (q_last, out_last) = (q_pairs.remainder(), out_pairs.into_remainder());
+        if !q_last.is_empty() {
+            // SAFETY: as above, for the one remaining row.
+            unsafe { logit_rows::<1>(q_last, d, kt, n, scale, out_last) };
+        }
+    }
+
+    /// `R` query rows of [`super::scaled_logits`]: 32 keys per step, each `Kᵀ` load
+    /// feeding one FMA per row into `4 · R` independent accumulators, then a scalar
+    /// tail for the last `n % 32` keys.
+    ///
+    /// # Safety
+    ///
+    /// CPU must support `avx2` and `fma`; `q.len() == R · d`, `out.len() == R · n`,
+    /// `kt.len() == d · n`.
+    #[inline]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn logit_rows<const R: usize>(
+        q: &[f32],
+        d: usize,
+        kt: &[f32],
+        n: usize,
+        scale: f32,
+        out: &mut [f32],
+    ) {
+        debug_assert!(q.len() == R * d && out.len() == R * n && kt.len() == d * n);
+        let k = kt.as_ptr();
+        let o = out.as_mut_ptr();
+        let mut j = 0;
+        while j + 32 <= n {
+            let mut acc = [[_mm256_setzero_ps(); 4]; R];
+            for c in 0..d {
+                // SAFETY: `c * n + j + 32 <= c * n + n <= kt.len()`.
+                let kv = unsafe {
+                    let row = k.add(c * n + j);
+                    [
+                        _mm256_loadu_ps(row),
+                        _mm256_loadu_ps(row.add(8)),
+                        _mm256_loadu_ps(row.add(16)),
+                        _mm256_loadu_ps(row.add(24)),
+                    ]
+                };
+                for (r, acc_r) in acc.iter_mut().enumerate() {
+                    let qv = _mm256_set1_ps(q[r * d + c] * scale);
+                    for (a, &kv_t) in acc_r.iter_mut().zip(&kv) {
+                        *a = _mm256_fmadd_ps(qv, kv_t, *a);
+                    }
+                }
+            }
+            for (r, acc_r) in acc.iter().enumerate() {
+                for (t, &a) in acc_r.iter().enumerate() {
+                    // SAFETY: `r * n + j + 8 * t + 8 <= r * n + n <= out.len()`.
+                    unsafe { _mm256_storeu_ps(o.add(r * n + j + 8 * t), a) };
+                }
+            }
+            j += 32;
+        }
+        for (q_row, out_row) in q.chunks_exact(d).zip(out.chunks_exact_mut(n)) {
+            for (jj, slot) in out_row.iter_mut().enumerate().skip(j) {
+                let mut s = 0.0f32;
+                for (c, &qc) in q_row.iter().enumerate() {
+                    s += (qc * scale) * kt[c * n + jj];
+                }
+                *slot = s;
+            }
+        }
+    }
+
+    /// AVX2 [`super::scaled_pv`]: query rows in fours (then one at a time), per
+    /// 8-column block of `V`.
+    ///
+    /// # Safety
+    ///
+    /// CPU must support `avx2` and `fma`; `d_v` is a non-zero multiple of 8 and the
+    /// shapes are as checked by the dispatcher.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub(crate) unsafe fn scaled_pv_avx2(
+        p: &[f32],
+        v: &[f32],
+        d_v: usize,
+        inv: &[f32],
+        out: &mut [f32],
+    ) {
+        let n = v.len() / d_v;
+        let mut i = 0;
+        while i < inv.len() {
+            let rows = if i + 4 <= inv.len() { 4 } else { 1 };
+            let (p_rows, inv_rows) = (&p[i * n..(i + rows) * n], &inv[i..i + rows]);
+            let out_rows = &mut out[i * d_v..(i + rows) * d_v];
+            for c0 in (0..d_v).step_by(8) {
+                // SAFETY: avx2 + fma per this function's contract; `rows` rows of
+                // `p`/`out`, and `c0 + 8 <= d_v` as `d_v` is a multiple of 8.
+                unsafe {
+                    if rows == 4 {
+                        pv_rows::<4, 2>(p_rows, v, d_v, c0, inv_rows, out_rows);
+                    } else {
+                        pv_rows::<1, 4>(p_rows, v, d_v, c0, inv_rows, out_rows);
+                    }
+                }
+            }
+            i += rows;
+        }
+    }
+
+    /// `R` query rows × columns `c0..c0 + 8` of [`super::scaled_pv`]: keys `U` at a
+    /// time, each `V`-row load feeding one broadcast-FMA per row into `R · U`
+    /// independent accumulators, which are summed pairwise and scaled by the row's
+    /// `1/sum` in the one store.
+    ///
+    /// # Safety
+    ///
+    /// CPU must support `avx2` and `fma`; `p.len() == R · n`, `out.len() == R · d_v`,
+    /// `inv.len() == R`, `v.len() == n · d_v` and `c0 + 8 <= d_v`.
+    #[inline]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn pv_rows<const R: usize, const U: usize>(
+        p: &[f32],
+        v: &[f32],
+        d_v: usize,
+        c0: usize,
+        inv: &[f32],
+        out: &mut [f32],
+    ) {
+        let n = v.len() / d_v;
+        debug_assert!(p.len() == R * n && out.len() == R * d_v && inv.len() == R);
+        debug_assert!(c0 + 8 <= d_v);
+        let vp = v.as_ptr();
+        let pp = p.as_ptr();
+        let mut acc = [[_mm256_setzero_ps(); U]; R];
+        let mut j = 0;
+        while j + U <= n {
+            for u in 0..U {
+                // SAFETY: `(j + u) * d_v + c0 + 8 <= n * d_v == v.len()`.
+                let vv = unsafe { _mm256_loadu_ps(vp.add((j + u) * d_v + c0)) };
+                for (r, acc_r) in acc.iter_mut().enumerate() {
+                    // SAFETY: `r * n + j + u < R * n == p.len()`.
+                    let pv = unsafe { _mm256_broadcast_ss(&*pp.add(r * n + j + u)) };
+                    acc_r[u] = _mm256_fmadd_ps(pv, vv, acc_r[u]);
+                }
+            }
+            j += U;
+        }
+        for jj in j..n {
+            // SAFETY: `jj < n`, as above.
+            let vv = unsafe { _mm256_loadu_ps(vp.add(jj * d_v + c0)) };
+            for (r, acc_r) in acc.iter_mut().enumerate() {
+                // SAFETY: `r * n + jj < p.len()`.
+                let pv = unsafe { _mm256_broadcast_ss(&*pp.add(r * n + jj)) };
+                acc_r[0] = _mm256_fmadd_ps(pv, vv, acc_r[0]);
+            }
+        }
+        for (r, acc_r) in acc.iter().enumerate() {
+            let mut sum = acc_r[0];
+            for &a in &acc_r[1..] {
+                sum = _mm256_add_ps(sum, a);
+            }
+            let scaled = _mm256_mul_ps(sum, _mm256_set1_ps(inv[r]));
+            // SAFETY: `r * d_v + c0 + 8 <= R * d_v == out.len()`.
+            unsafe { _mm256_storeu_ps(out.as_mut_ptr().add(r * d_v + c0), scaled) };
         }
     }
 

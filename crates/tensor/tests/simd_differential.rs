@@ -325,3 +325,131 @@ fn avx2_dispatch_on_unsupported_hosts_still_computes_correct_products() {
     let diff = max_abs_diff(&via_avx2, &reference);
     assert!(diff <= 1e-5, "Avx2 dispatch diverged by {diff}");
 }
+
+/// Lengths straddling the 8-lane step, the 32-key logit step and their tails, up to
+/// the served token counts.
+const SWEEP_LENGTHS: [usize; 14] = [0, 1, 3, 7, 8, 9, 31, 32, 33, 63, 196, 1000, 1023, 1024];
+
+#[test]
+fn exp_sum_sweep_is_bit_identical_to_its_scalar_twin() {
+    use vitality_tensor::simd::{shifted_exp_sum, shifted_exp_sum_scalar};
+    for &len in &SWEEP_LENGTHS {
+        // Logit-like rows: a spread of ±40 around an offset, so the shift, the
+        // exponentials down to ~e^-80 and the lane/tail sums all get exercised.
+        let row: Vec<f32> = (0..len)
+            .map(|i| ((i * 7919 % 1013) as f32 / 1013.0 - 0.5) * 80.0 + 3.25)
+            .collect();
+        let mut simd = row.clone();
+        let mut scalar = row.clone();
+        let simd_sum = shifted_exp_sum(&mut simd);
+        let scalar_sum = shifted_exp_sum_scalar(&mut scalar);
+        assert_eq!(
+            simd_sum.to_bits(),
+            scalar_sum.to_bits(),
+            "exp sweep sum diverged at len {len}: {simd_sum} vs {scalar_sum}"
+        );
+        let simd_bits: Vec<u32> = simd.iter().map(|v| v.to_bits()).collect();
+        let scalar_bits: Vec<u32> = scalar.iter().map(|v| v.to_bits()).collect();
+        assert_eq!(
+            simd_bits, scalar_bits,
+            "exp sweep values diverged at len {len}"
+        );
+        if len > 0 {
+            assert!(simd.iter().all(|&e| (0.0..=1.0).contains(&e)));
+            assert!(simd_sum >= 1.0, "the row maximum contributes exp(0) = 1");
+        } else {
+            assert_eq!(simd_sum, 0.0);
+        }
+    }
+}
+
+#[test]
+fn exp_sweep_holds_its_documented_error_bound_on_the_softmax_domain() {
+    use vitality_tensor::simd::{shifted_exp_sum, shifted_exp_sum_scalar, EXP_MAX_REL_ERROR};
+    // A dense grid over [-87, 0] plus both end points. The leading 0.0 makes the
+    // row maximum 0, so every output is exp(x) itself.
+    let steps = 200_000;
+    let mut xs: Vec<f32> = vec![0.0];
+    xs.extend((0..=steps).map(|i| -87.0 * i as f32 / steps as f32));
+    xs.push(-87.0);
+    for sweep in [shifted_exp_sum, shifted_exp_sum_scalar] {
+        let mut out = xs.clone();
+        sweep(&mut out);
+        let worst = xs
+            .iter()
+            .zip(&out)
+            .map(|(&x, &e)| {
+                let exact = f64::from(x).exp();
+                (f64::from(e) - exact).abs() / exact
+            })
+            .fold(0.0f64, f64::max);
+        assert!(
+            worst <= EXP_MAX_REL_ERROR,
+            "exp sweep relative error {worst:e} exceeds the documented {EXP_MAX_REL_ERROR:e}"
+        );
+    }
+}
+
+#[test]
+fn exp_sweep_handles_uniform_and_dominated_rows() {
+    use vitality_tensor::simd::shifted_exp_sum;
+    for &len in &[1usize, 9, 196, 1000, 1024] {
+        // All-equal logits: every exp(0) is exactly 1, so the sum is exactly n.
+        let mut flat = vec![-12.5f32; len];
+        let sum = shifted_exp_sum(&mut flat);
+        assert_eq!(sum, len as f32, "uniform row of {len}");
+        assert!(flat.iter().all(|&e| e == 1.0));
+        // One dominant logit: the rest underflow to (almost) zero.
+        let mut sharp = vec![-500.0f32; len];
+        sharp[len / 2] = 400.0;
+        let sum = shifted_exp_sum(&mut sharp);
+        assert!(
+            (1.0..=1.0 + f32::EPSILON).contains(&sum),
+            "dominated row of {len}: {sum}"
+        );
+        assert_eq!(sharp[len / 2], 1.0);
+        assert!(sharp
+            .iter()
+            .enumerate()
+            .all(|(j, &e)| j == len / 2 || (0.0..1e-30).contains(&e)));
+    }
+}
+
+#[test]
+fn logit_and_pv_sweeps_match_their_scalar_twins_within_1e5() {
+    use vitality_tensor::simd::{scaled_logits, scaled_logits_scalar, scaled_pv, scaled_pv_scalar};
+    for &d in &[1usize, 8, 12, 16] {
+        for &rows in &[1usize, 7, 64] {
+            for &n in &SWEEP_LENGTHS {
+                let q = dense(rows, d, entry);
+                let kt = dense(d, n, |r, c| entry(c + 3, r));
+                let scale = 1.0 / (d as f32).sqrt();
+                let mut simd = vec![f32::NAN; rows * n];
+                let mut scalar = vec![f32::NAN; rows * n];
+                scaled_logits(&q, d, &kt, scale, &mut simd);
+                scaled_logits_scalar(&q, d, &kt, scale, &mut scalar);
+                let diff = max_abs_diff(&simd, &scalar);
+                assert!(
+                    diff <= 1e-5,
+                    "logits (rows {rows}, d {d}, n {n}) diverged by {diff}"
+                );
+                assert!(simd.iter().all(|x| x.is_finite()), "logits left unwritten");
+
+                // Probability-like weights and the row normalisers of a softmax.
+                let p = dense(rows, n, |r, c| entry(r, c) + 0.35);
+                let v = dense(n, d, |r, c| entry(r + 1, c));
+                let inv: Vec<f32> = (0..rows).map(|r| 1.0 / (1.0 + r as f32)).collect();
+                let mut simd = vec![f32::NAN; rows * d];
+                let mut scalar = vec![f32::NAN; rows * d];
+                scaled_pv(&p, &v, d, &inv, &mut simd);
+                scaled_pv_scalar(&p, &v, d, &inv, &mut scalar);
+                let diff = max_abs_diff(&simd, &scalar);
+                assert!(
+                    diff <= 1e-5,
+                    "P·V (rows {rows}, d {d}, n {n}) diverged by {diff}"
+                );
+                assert!(simd.iter().all(|x| x.is_finite()), "P·V left unwritten");
+            }
+        }
+    }
+}

@@ -134,18 +134,24 @@ fn labels_are_unique_and_colon_free() {
     assert_eq!(labels.len(), variants.len());
 }
 
+/// The head shapes the models serve: d = 8 at the n = 196 and n = 1024 token
+/// counts, plus n = 1000, whose keys end in a tail that is not a multiple of the
+/// 8- and 32-lane sweep steps.
+const SERVED_HEAD_SHAPES: [(usize, usize); 3] = [(196, 8), (1000, 8), (1024, 8)];
+
 #[test]
 fn every_kernel_matches_its_traced_reference() {
+    let shapes = [(1usize, 16usize), (7, 16), (64, 16), (196, 16)];
     for variant in AttentionVariant::all() {
         let kernel = variant.kernel();
-        for &n in &[1usize, 7, 64, 196] {
-            let (q, k, v) = qkv(n, 16, 0.6, 7100 + n as u64);
+        for &(n, d) in shapes.iter().chain(&SERVED_HEAD_SHAPES) {
+            let (q, k, v) = qkv(n, d, 0.6, 7100 + n as u64);
             let fused = kernel.compute(&q, &k, &v);
             let (reference, tolerance) = reference_and_tolerance(variant, &q, &k, &v);
             let diff = fused.max_abs_diff(&reference);
             assert!(
                 diff <= tolerance,
-                "{} diverged from its reference at n={n}: {diff} > {tolerance}",
+                "{} diverged from its reference at n={n}, d={d}: {diff} > {tolerance}",
                 kernel.label()
             );
         }
@@ -204,6 +210,16 @@ fn adversarial_inputs_produce_finite_outputs() {
         // A single token: every reduction collapses to one element.
         let (q, k, v) = qkv(1, 8, 0.7, 7301);
         assert_finite("n=1", &q, &k, &v);
+        // Large-magnitude logits at the served head shapes.
+        for &(n, d) in &SERVED_HEAD_SHAPES {
+            let (q, k, v) = qkv(n, d, 8.0, 7302 + n as u64);
+            assert_finite(
+                &format!("large-magnitude logits at n={n}, d={d}"),
+                &q,
+                &k,
+                &v,
+            );
+        }
     }
 }
 
