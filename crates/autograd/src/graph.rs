@@ -5,7 +5,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::rc::Rc;
 
-use vitality_tensor::Matrix;
+use vitality_tensor::{simd, Matrix};
 
 /// Stable identifier of a tape node, used to look gradients up after a backward pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -496,10 +496,13 @@ impl Var {
         })
     }
 
-    /// GELU activation (tanh approximation, as used by ViT MLP blocks).
+    /// GELU activation (tanh approximation, as used by ViT MLP blocks). The forward
+    /// value is the [`simd::gelu`] sweep the inference MLP runs, so a trained forward
+    /// pass matches inference; the gradient is the closed-form derivative.
     pub fn gelu(&self) -> Var {
         let x = self.value();
-        let value = x.map(gelu_scalar);
+        let mut value = x.clone();
+        simd::gelu(value.as_mut_slice(), None);
         self.unary(value, move |grad| {
             let mut dx = grad.clone();
             for (g, &xv) in dx.as_mut_slice().iter_mut().zip(x.as_slice().iter()) {
@@ -740,13 +743,7 @@ impl Var {
     }
 }
 
-/// GELU with the tanh approximation used by ViT implementations.
-fn gelu_scalar(x: f32) -> f32 {
-    const SQRT_2_OVER_PI: f32 = 0.797_884_6;
-    0.5 * x * (1.0 + (SQRT_2_OVER_PI * (x + 0.044_715 * x * x * x)).tanh())
-}
-
-/// Derivative of [`gelu_scalar`].
+/// Derivative of the tanh-approximate GELU.
 fn gelu_grad_scalar(x: f32) -> f32 {
     const SQRT_2_OVER_PI: f32 = 0.797_884_6;
     let inner = SQRT_2_OVER_PI * (x + 0.044_715 * x * x * x);
@@ -1036,9 +1033,14 @@ mod tests {
     #[test]
     fn gelu_matches_reference_values() {
         // Reference values from the tanh approximation itself at well-known points.
-        assert!(gelu_scalar(0.0).abs() < 1e-6);
-        assert!((gelu_scalar(1.0) - 0.841_192).abs() < 1e-3);
-        assert!((gelu_scalar(-1.0) + 0.158_808).abs() < 1e-3);
+        let graph = Graph::new();
+        let y = graph
+            .constant(Matrix::from_vec(1, 3, vec![0.0, 1.0, -1.0]).unwrap())
+            .gelu()
+            .value();
+        assert!(y.get(0, 0).abs() < 1e-6);
+        assert!((y.get(0, 1) - 0.841_192).abs() < 1e-3);
+        assert!((y.get(0, 2) + 0.158_808).abs() < 1e-3);
         // Derivative at 0 is 0.5.
         assert!((gelu_grad_scalar(0.0) - 0.5).abs() < 1e-5);
     }

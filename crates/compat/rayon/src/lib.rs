@@ -9,6 +9,13 @@
 //! item) everything runs inline on the caller's thread, so the shim adds no overhead in
 //! the degenerate case. This is a plain chunk-queue scheduler, not a work-stealing pool —
 //! adequate for the coarse-grained panel/head/image parallelism this workspace needs.
+//!
+//! Every region runs inline on the calling thread in two cases: when it is nested
+//! inside another region (the calling thread is already one of its workers), and
+//! inside an [`inline_scope`]. The latter is for work that is one thread's job by
+//! design — a model inference whose callers already parallelise across images or
+//! serve workers — so that its GEMMs do not spawn threads onto cores those callers
+//! already occupy.
 
 #![deny(missing_docs)]
 
@@ -20,13 +27,31 @@ pub mod prelude {
 }
 
 std::thread_local! {
-    /// `true` while the current thread is already executing inside a parallel region.
-    /// Nested regions then run inline instead of spawning another thread generation —
+    /// `true` while the current thread is already executing inside a parallel region
+    /// or an [`inline_scope`]. Regions then run inline instead of spawning another
+    /// thread generation —
     /// without this guard, batch-level × head-level × GEMM-panel parallelism would
     /// multiply into O(cores³) concurrent OS threads (real rayon amortises nesting
     /// through its shared work-stealing pool; this shim simply keeps the outermost
     /// level parallel, which is where the coarse-grained win is).
     static IN_PARALLEL_REGION: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+/// Runs `f` with every parallel region it opens executing inline on the calling
+/// thread, and returns its result.
+///
+/// Scopes nest; the previous setting is restored when `f` returns or unwinds, so a
+/// caller that catches a panic from `f` keeps its own fan-out behaviour.
+pub fn inline_scope<R>(f: impl FnOnce() -> R) -> R {
+    /// Restores the thread's previous flag on drop, including during unwinding.
+    struct Restore(bool);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            IN_PARALLEL_REGION.with(|flag| flag.set(self.0));
+        }
+    }
+    let _restore = Restore(IN_PARALLEL_REGION.with(|flag| flag.replace(true)));
+    f()
 }
 
 /// The host's core count, queried once: `available_parallelism()` reads cgroup and
@@ -343,8 +368,36 @@ where
 
 #[cfg(test)]
 mod tests {
-    use super::join;
     use super::prelude::*;
+    use super::{inline_scope, join, IN_PARALLEL_REGION};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::Mutex;
+    use std::thread::{self, ThreadId};
+
+    fn in_region() -> bool {
+        IN_PARALLEL_REGION.with(|flag| flag.get())
+    }
+
+    /// Opens one region of every kind and returns the ids of the threads that ran
+    /// their items.
+    fn region_threads() -> Vec<ThreadId> {
+        let seen = Mutex::new(Vec::new());
+        let record = || {
+            seen.lock()
+                .expect("ids poisoned")
+                .push(thread::current().id())
+        };
+        let mut data = [0u8; 64];
+        data.par_chunks_mut(1).for_each(|_| record());
+        data.par_chunks_mut(1).enumerate().for_each(|_| record());
+        data.par_iter().for_each(|_| record());
+        let _: Vec<()> = data.par_iter().map(|_| record()).collect();
+        let _: Vec<()> = data.par_chunks(2).map(|_| record()).collect();
+        (0..64).into_par_iter().for_each(|_| record());
+        let _: Vec<()> = (0..64).into_par_iter().map(|_| record()).collect();
+        join(record, record);
+        seen.into_inner().expect("ids poisoned")
+    }
 
     #[test]
     fn par_chunks_mut_visits_every_chunk_once() {
@@ -397,5 +450,50 @@ mod tests {
         for (outer, &total) in totals.iter().enumerate() {
             assert_eq!(total, outer * (99 * 100) / 2);
         }
+    }
+
+    #[test]
+    fn inline_scope_runs_every_region_on_the_calling_thread() {
+        let caller = thread::current().id();
+        let ids = inline_scope(region_threads);
+        assert_eq!(ids.len(), 64 * 6 + 32 + 2);
+        assert!(ids.iter().all(|&id| id == caller));
+    }
+
+    #[test]
+    fn inline_scopes_nest_and_restore_the_enclosing_setting() {
+        assert!(!in_region());
+        let caller = thread::current().id();
+        let sums = inline_scope(|| {
+            let inner = inline_scope(|| {
+                assert!(in_region());
+                region_threads()
+            });
+            assert!(in_region(), "leaving the inner scope keeps the outer one");
+            assert!(inner.iter().all(|&id| id == caller));
+            (0..10).into_par_iter().map(|i| i * 2).collect::<Vec<_>>()
+        });
+        assert_eq!(sums, (0..10).map(|i| i * 2).collect::<Vec<_>>());
+        assert!(!in_region());
+    }
+
+    #[test]
+    fn inline_scope_restores_the_flag_after_a_caught_panic() {
+        assert!(!in_region());
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            inline_scope(|| {
+                assert!(in_region());
+                panic!("batch failed");
+            })
+        }));
+        assert!(caught.is_err());
+        assert!(!in_region(), "unwinding restores the caller's fan-out");
+        // Inside an enclosing region the restored value is `true`, not `false`.
+        inline_scope(|| {
+            let caught = catch_unwind(AssertUnwindSafe(|| inline_scope(|| panic!("inner"))));
+            assert!(caught.is_err());
+            assert!(in_region());
+        });
+        assert!(!in_region());
     }
 }

@@ -93,10 +93,12 @@ fn derived_retry_after(shared: &Shared) -> u64 {
 
 /// One infer request in flight between the connection front and the dispatch
 /// pool: the owned request bytes (the front's parse buffer is only borrowed for
-/// the duration of a dispatch call) and the completion that answers it.
+/// the duration of a dispatch call), the instant the front received it, and the
+/// completion that answers it.
 struct InferWork {
     body: Vec<u8>,
     content_type: Option<String>,
+    received: Instant,
     completion: Completion,
 }
 
@@ -213,8 +215,7 @@ impl Gateway {
                         match work {
                             Ok(work) => {
                                 shared.dispatch_depth.fetch_sub(1, Ordering::Relaxed);
-                                let response =
-                                    handle_infer(&work.body, work.content_type.as_deref(), &shared);
+                                let response = handle_infer(&work, &shared);
                                 work.completion.complete(response);
                             }
                             // Channel closed: the front is gone, drain is done.
@@ -418,10 +419,12 @@ fn route(
             // The blocking pipeline must not run on the event loop: hand the
             // owned bytes to the dispatch pool. A send can only fail during
             // shutdown teardown; the completion's drop guard answers 500 then.
+            let received = Instant::now();
             shared.dispatch_depth.fetch_add(1, Ordering::Relaxed);
             let sent = work_tx.send(InferWork {
                 body: request.body.to_vec(),
                 content_type: request.header("content-type").map(str::to_string),
+                received,
                 completion,
             });
             if sent.is_err() {
@@ -553,11 +556,13 @@ fn decode_infer_body(
 /// The body is parsed *before* admission control on purpose: an admission-shed 503
 /// must still echo the client's `request_id`, and the parse cost is bounded by
 /// `max_body_bytes` either way.
-fn handle_infer(body: &[u8], content_type: Option<&str>, shared: &Arc<Shared>) -> RouteResponse {
-    // The origin for every span offset: work before the body parses (UTF-8 check,
-    // JSON or binary decode) is attributed to the `parse` span retroactively.
+fn handle_infer(work: &InferWork, shared: &Arc<Shared>) -> RouteResponse {
+    // Dispatcher pickup anchors the deadline and the `parse` span: work before the
+    // body parses (UTF-8 check, JSON or binary decode) is attributed to `parse`
+    // retroactively. The trace itself starts at the front's receipt, so the
+    // hand-off wait is its first span.
     let started = Instant::now();
-    let (parsed, binary_image) = match decode_infer_body(body, content_type) {
+    let (parsed, binary_image) = match decode_infer_body(&work.body, work.content_type.as_deref()) {
         Ok(decoded) => decoded,
         // No usable body, so no client id: generate one so even this failure is
         // quotable from the error body.
@@ -588,7 +593,10 @@ fn handle_infer(body: &[u8], content_type: Option<&str>, shared: &Arc<Shared>) -
     };
     // `"trace": true` forces span recording even when sampling is off, and the
     // recorded gateway+engine span tree is embedded in the reply.
-    let handle = shared.tracer.begin(&request_id, started, want_trace);
+    let handle = shared.tracer.begin(&request_id, work.received, want_trace);
+    if let Some(t) = &handle {
+        t.record("dispatch_wait", String::new(), work.received, started);
+    }
     match infer_core(&parsed, binary_image, shared, started, &request_id, &handle) {
         Ok(mut body) => {
             body.set("request_id", request_id.as_str());

@@ -129,8 +129,16 @@ fn a_sampled_request_records_a_complete_gateway_to_engine_span_tree() {
 
     let rows = flatten(&entry);
     let has = |name: &str| rows.iter().any(|(_, n, _, _)| n == name);
+    // The front → dispatcher hand-off opens the gateway's spans.
+    assert_eq!(
+        rows.first()
+            .map(|(depth, name, ..)| (*depth, name.as_str())),
+        Some((0, "dispatch_wait")),
+        "the hand-off wait is the first gateway span: {rows:?}"
+    );
     // Gateway-side stages, in the tree's top level.
     for name in [
+        "dispatch_wait",
         "parse",
         "admission",
         "cache_probe",

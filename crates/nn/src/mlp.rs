@@ -5,7 +5,7 @@ use rand::Rng;
 use crate::linear::Linear;
 use crate::registry::{qualify, NamedParameters, ParamRegistry};
 use vitality_autograd::{Graph, Var};
-use vitality_tensor::{Matrix, Workspace};
+use vitality_tensor::{simd, Matrix, Workspace};
 
 /// Activation used between the two MLP projections.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -68,13 +68,11 @@ impl Mlp {
         self.fc2.forward(graph, reg, &qualify(prefix, "fc2"), &h)
     }
 
-    /// Pure-inference forward pass (activation applied in place on the hidden buffer).
+    /// Pure-inference forward pass (fc1's bias and the activation applied in one pass
+    /// over the hidden buffer).
     pub fn infer(&self, x: &Matrix) -> Matrix {
-        let mut h = self.fc1.infer(x);
-        match self.activation {
-            Activation::Gelu => h.map_inplace(gelu),
-            Activation::Relu => h.map_inplace(|v| v.max(0.0)),
-        }
+        let mut h = x.matmul(self.fc1.weight());
+        self.activate(&mut h);
         self.fc2.infer(&h)
     }
 
@@ -86,24 +84,31 @@ impl Mlp {
     /// Panics when the shapes are inconsistent.
     pub fn infer_into(&self, x: &Matrix, ws: &mut Workspace, out: &mut Matrix) {
         let mut h = ws.take(x.rows(), self.hidden());
-        self.fc1.infer_into(x, &mut h);
-        match self.activation {
-            Activation::Gelu => h.map_inplace(gelu),
-            Activation::Relu => h.map_inplace(|v| v.max(0.0)),
-        }
+        x.matmul_into(self.fc1.weight(), &mut h);
+        self.activate(&mut h);
         self.fc2.infer_into(&h, out);
         ws.recycle(h);
+    }
+
+    /// Adds fc1's bias to the bias-free product `h` and applies the activation in
+    /// place: GELU as one [`simd::gelu`] sweep, ReLU as a broadcast then a clamp.
+    fn activate(&self, h: &mut Matrix) {
+        let bias = self.fc1.bias();
+        match self.activation {
+            Activation::Gelu => simd::gelu(h.as_mut_slice(), bias.map(Matrix::as_slice)),
+            Activation::Relu => {
+                if let Some(bias) = bias {
+                    h.add_row_inplace(bias);
+                }
+                h.map_inplace(|v| v.max(0.0));
+            }
+        }
     }
 
     /// Multiply–accumulate count of one forward pass over `tokens` rows.
     pub fn macs(&self, tokens: usize) -> usize {
         self.fc1.macs(tokens) + self.fc2.macs(tokens)
     }
-}
-
-fn gelu(x: f32) -> f32 {
-    const SQRT_2_OVER_PI: f32 = 0.797_884_6;
-    0.5 * x * (1.0 + (SQRT_2_OVER_PI * (x + 0.044_715 * x * x * x)).tanh())
 }
 
 impl NamedParameters for Mlp {

@@ -453,3 +453,118 @@ fn logit_and_pv_sweeps_match_their_scalar_twins_within_1e5() {
         }
     }
 }
+
+/// Lengths for the GELU sweep: every tail of the 8-lane step, the lanes around 64
+/// (the served MLP width) and whole hidden activations of the served shapes.
+fn gelu_lengths() -> impl Iterator<Item = usize> {
+    (0..=17).chain([63, 64, 65, 1000, 65_536])
+}
+
+/// A bias width that splits `len` into several rows with a column tail where the
+/// length allows it (125 → tail 5, 21 → 5, 13 → 5), else one row of `len`.
+fn gelu_bias_width(len: usize) -> usize {
+    [125, 64, 21, 13]
+        .into_iter()
+        .find(|&w| len >= w && len.is_multiple_of(w))
+        .unwrap_or(len)
+}
+
+/// The tanh-approximate GELU in f64, the reference for [`GELU_MAX_ABS_ERROR`].
+///
+/// [`GELU_MAX_ABS_ERROR`]: vitality_tensor::simd::GELU_MAX_ABS_ERROR
+fn gelu_f64(x: f32) -> f64 {
+    let x = f64::from(x);
+    let c = (2.0 / std::f64::consts::PI).sqrt();
+    0.5 * x * (1.0 + (c * (x + 0.044_715 * x * x * x)).tanh())
+}
+
+#[test]
+fn gelu_sweep_is_bit_identical_to_its_scalar_twin() {
+    use vitality_tensor::simd::{gelu, gelu_scalar};
+    for len in gelu_lengths() {
+        // Pre-activations over [-12, 12]: both saturated ends and the curved middle.
+        let xs: Vec<f32> = (0..len)
+            .map(|i| ((i * 7919 % 1013) as f32 / 1013.0 - 0.5) * 24.0)
+            .collect();
+        let width = gelu_bias_width(len);
+        let bias: Vec<f32> = (0..width).map(|j| (j as f32 * 0.37).sin()).collect();
+        for bias in [None, Some(bias.as_slice())] {
+            let mut simd = xs.clone();
+            let mut scalar = xs.clone();
+            gelu(&mut simd, bias);
+            gelu_scalar(&mut scalar, bias);
+            let simd_bits: Vec<u32> = simd.iter().map(|v| v.to_bits()).collect();
+            let scalar_bits: Vec<u32> = scalar.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(
+                simd_bits,
+                scalar_bits,
+                "gelu sweep diverged at len {len}, bias {}",
+                bias.is_some()
+            );
+            // The bias is added before the activation, column by column.
+            for (i, (&x, &y)) in xs.iter().zip(&simd).enumerate() {
+                let pre = x + bias.map_or(0.0, |b| b[i % width]);
+                let exact = gelu_f64(pre);
+                assert!(
+                    (f64::from(y) - exact).abs() <= 1e-6,
+                    "gelu({pre}) = {y}, expected {exact} (len {len})"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn gelu_sweep_holds_its_documented_error_bound() {
+    use vitality_tensor::simd::{gelu, gelu_scalar, GELU_MAX_ABS_ERROR};
+    // A dense grid over [-10, 10], end points included.
+    let steps = 400_000;
+    let xs: Vec<f32> = (0..=steps)
+        .map(|i| -10.0 + 20.0 * i as f32 / steps as f32)
+        .collect();
+    for sweep in [gelu, gelu_scalar] {
+        let mut out = xs.clone();
+        sweep(&mut out, None);
+        let worst = xs
+            .iter()
+            .zip(&out)
+            .map(|(&x, &y)| (f64::from(y) - gelu_f64(x)).abs())
+            .fold(0.0f64, f64::max);
+        assert!(
+            worst <= GELU_MAX_ABS_ERROR,
+            "gelu absolute error {worst:e} exceeds the documented {GELU_MAX_ABS_ERROR:e}"
+        );
+    }
+}
+
+#[test]
+fn gelu_sweep_keeps_extreme_inputs_finite() {
+    use vitality_tensor::simd::{gelu, gelu_scalar};
+    let extremes = [
+        0.0f32,
+        -0.0,
+        1e30,
+        -1e30,
+        f32::MAX,
+        -f32::MAX,
+        1e37,
+        -1e37,
+        20.0,
+        -20.0,
+    ];
+    // Long enough that every value lands in a vector lane and in the tail.
+    let xs: Vec<f32> = extremes.iter().cycle().take(29).copied().collect();
+    let mut simd = xs.clone();
+    let mut scalar = xs.clone();
+    gelu(&mut simd, None);
+    gelu_scalar(&mut scalar, None);
+    for ((&x, &y), &z) in xs.iter().zip(&simd).zip(&scalar) {
+        assert_eq!(y.to_bits(), z.to_bits(), "gelu({x}) diverged: {y} vs {z}");
+        assert!(y.is_finite(), "gelu({x}) = {y}");
+        if x > 0.0 {
+            assert_eq!(y, x, "gelu goes to x on the positive side");
+        } else {
+            assert!(y.abs() < 1e-30, "gelu({x}) = {y} should be ≈ 0");
+        }
+    }
+}

@@ -232,9 +232,10 @@ impl MultiHeadAttention {
     /// storage.
     ///
     /// Projections, per-head slices, head outputs and the merge buffer all come from
-    /// `ws`; heads run sequentially through the shared kernel (parallelism belongs to
-    /// the per-image axis in `VisionTransformer::infer_batch`, which gives every worker
-    /// thread its own workspace).
+    /// `ws`; heads run sequentially through the shared kernel. Within a model
+    /// inference this is one thread's work (`VisionTransformer::infer_with` runs it
+    /// without GEMM fan-out); callers parallelise across images or serve workers, each
+    /// with its own workspace. Called directly, its GEMMs may still fan out.
     ///
     /// # Panics
     ///

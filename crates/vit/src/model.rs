@@ -125,18 +125,26 @@ impl VisionTransformer {
 
     /// Inference pass drawing every intermediate from the caller's workspace.
     ///
+    /// One image's inference is one thread's work: the body runs in a
+    /// [`rayon::inline_scope`], so its GEMMs never fan out onto other cores. Callers
+    /// parallelise across images ([`VisionTransformer::infer_batch`]) or across serve
+    /// workers, which already occupy those cores; per-image fan-out would only
+    /// oversubscribe them.
+    ///
     /// The returned [`VitOutput`] matrices are themselves workspace checkouts: recycle
     /// them back (as [`VisionTransformer::infer_batch_into`] does between rounds) and
     /// the steady state performs zero hot-path allocations.
     pub fn infer_with(&self, image: &Matrix, ws: &mut Workspace) -> VitOutput {
-        let mut x = ws.take(self.config.tokens(), self.config.embed_dim);
-        self.embed.infer_into(image, ws, &mut x);
-        for block in &self.blocks {
-            block.infer_inplace(&mut x, ws);
-        }
-        let mut logits = ws.take(1, self.config.classes);
-        self.head.infer_into(&x, ws, &mut logits);
-        VitOutput { logits, tokens: x }
+        rayon::inline_scope(|| {
+            let mut x = ws.take(self.config.tokens(), self.config.embed_dim);
+            self.embed.infer_into(image, ws, &mut x);
+            for block in &self.blocks {
+                block.infer_inplace(&mut x, ws);
+            }
+            let mut logits = ws.take(1, self.config.classes);
+            self.head.infer_into(&x, ws, &mut logits);
+            VitOutput { logits, tokens: x }
+        })
     }
 
     /// Inference over a batch of images, one rayon work unit per image.
@@ -155,8 +163,10 @@ impl VisionTransformer {
     /// projections, attention scratch, token matrices, logits — is a workspace pool
     /// hit, which the counting-allocator regression test (`tests/alloc_regression.rs`)
     /// asserts is exactly zero heap traffic. Images are processed sequentially on the
-    /// calling thread; use [`VisionTransformer::infer_batch`] when parallel fan-out
-    /// matters more than allocation discipline.
+    /// calling thread, each as one thread's work (see
+    /// [`VisionTransformer::infer_with`]): parallelism comes from running several
+    /// callers, such as serve workers, side by side. Use
+    /// [`VisionTransformer::infer_batch`] to fan one batch out across cores instead.
     pub fn infer_batch_into(
         &self,
         images: &[Matrix],
